@@ -129,6 +129,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        print(f"verify --samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return USAGE_ERROR
     a = load(args.a)
     b = load(args.b)
     if args.exact_1d:

@@ -189,55 +189,27 @@ def _merge_affine(
 ):
     """Fold a block's output affine map into the next block's input map.
 
-    weight = w1 @ w2_prev, bias = w1 @ b2_prev + b1.  A merged entry stays
-    structural only when its value is forced regardless of the free
-    parameters: every product term must involve a structural zero or be a
-    product of two structural constants.
+    weight = w1 @ w2_prev, bias = w1 @ b2_prev + b1.  Every hidden unit of a
+    lowered block reads one input coordinate, so each row of ``w1`` is a
+    structural one-hot ``sign * e_p`` and the product selects row ``p`` of
+    ``w2_prev``: weight row ``i`` is ``0.0 + sign * w2_prev[p]`` (the value
+    the dense ascending-index sum gives) and keeps the tags of that row.  A
+    bias stays structural only when both of its inputs are.
     """
-    rows = len(w1)
-    inner = len(w2_prev)
-    cols = len(w2_prev[0]) if inner else 0
-
-    def term_forced(i: int, k: int, j: int | None) -> bool:
-        left_tag = w1_tags[i][k]
-        left_val = w1[i][k]
-        if left_tag == STRUCTURAL and left_val == 0.0:
-            return True
-        right_tag = w2_prev_tags[k][j] if j is not None else b2_prev_tags[k]
-        right_val = w2_prev[k][j] if j is not None else b2_prev[k]
-        if right_tag == STRUCTURAL and right_val == 0.0:
-            return True
-        return left_tag == STRUCTURAL and right_tag == STRUCTURAL
-
     weight = []
     weight_tags = []
-    for i in range(rows):
-        row = []
-        tags = []
-        for j in range(cols):
-            acc = 0.0
-            forced = True
-            for k in range(inner):
-                acc += w1[i][k] * w2_prev[k][j]
-                if forced and not term_forced(i, k, j):
-                    forced = False
-            row.append(acc)
-            tags.append(STRUCTURAL if forced else FREE)
-        weight.append(tuple(row))
-        weight_tags.append(tuple(tags))
-
     bias = []
     bias_tags = []
-    for i in range(rows):
-        acc = b1[i]
-        forced = b1_tags[i] == STRUCTURAL
-        for k in range(inner):
-            acc += w1[i][k] * b2_prev[k]
-            if forced and not term_forced(i, k, None):
-                forced = False
-        bias.append(acc)
-        bias_tags.append(STRUCTURAL if forced else FREE)
-
+    for i, (row, tags) in enumerate(zip(w1, w1_tags)):
+        hits = [k for k, v in enumerate(row) if v != 0.0]
+        if len(hits) != 1 or row[hits[0]] not in (1.0, -1.0) or any(t != STRUCTURAL for t in tags):
+            raise ValidationError(f"w1 row {i} is not a structural one-hot +1/-1 row")
+        p = hits[0]
+        sign = row[p]
+        weight.append(tuple([0.0 + sign * v for v in w2_prev[p]]))
+        weight_tags.append(w2_prev_tags[p])
+        bias.append(b1[i] + sign * b2_prev[p])
+        bias_tags.append(STRUCTURAL if b1_tags[i] == STRUCTURAL and b2_prev_tags[p] == STRUCTURAL else FREE)
     return tuple(weight), tuple(weight_tags), tuple(bias), tuple(bias_tags)
 
 
@@ -327,27 +299,30 @@ def mlp_to_kan(mlp: Mlp) -> Kan:
     activations, with each row's bias carried entirely by the activation
     reading input 0.  Every later KAN layer realises "apply relu, then the
     next affine map" with two-segment activations kinked at zero.
-    """
-    layers = []
-    first = mlp.layers[0]
-    rows = []
-    for q in range(first.n_out):
-        row = []
-        for p in range(first.n_in):
-            intercept = first.bias[q] if p == 0 else 0.0
-            row.append(PiecewiseLinear((), (first.weight[q][p],), intercept))
-        rows.append(tuple(row))
-    layers.append(KanLayer(tuple(rows)))
 
-    for t in range(1, len(mlp.layers)):
-        lay = mlp.layers[t]
+    Activations with the same shape, weight and intercept are one shared
+    immutable object, so each distinct activation is built and validated
+    once.  The sharing key keeps -0.0 apart from 0.0.
+    """
+    shared: dict[tuple, PiecewiseLinear] = {}
+    layers = []
+    for t, lay in enumerate(mlp.layers):
+        kinked = t > 0
         rows = []
-        for q in range(lay.n_out):
+        for weights, bias in zip(lay.weight, lay.bias):
             row = []
-            for p in range(lay.n_in):
-                intercept = lay.bias[q] if p == 0 else 0.0
-                row.append(PiecewiseLinear((0.0,), (0.0, lay.weight[q][p]), intercept))
+            for p, w in enumerate(weights):
+                intercept = bias if p == 0 else 0.0
+                # float.hex is exact and, unlike ==, tells -0.0 from 0.0
+                key = (kinked, w.hex(), intercept.hex())
+                act = shared.get(key)
+                if act is None:
+                    if kinked:
+                        act = PiecewiseLinear((0.0,), (0.0, w), intercept)
+                    else:
+                        act = PiecewiseLinear((), (w,), intercept)
+                    shared[key] = act
+                row.append(act)
             rows.append(tuple(row))
         layers.append(KanLayer(tuple(rows)))
-
     return Kan(tuple(layers))

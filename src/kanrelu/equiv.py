@@ -21,6 +21,10 @@ CUT_PAIRING_TOL = 1e-9
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class EquivReport:
     max_abs_error: float
@@ -31,9 +35,10 @@ class EquivReport:
     mode: str
 
     def to_dict(self) -> dict:
+        """Report fields in a fixed order; a non-finite error is None (JSON null)."""
         return {
-            "max_abs_error": self.max_abs_error,
-            "max_rel_error": self.max_rel_error,
+            "max_abs_error": _finite_or_none(self.max_abs_error),
+            "max_rel_error": _finite_or_none(self.max_rel_error),
             "worst_point": list(self.worst_point),
             "samples": self.samples,
             "passed": self.passed,
@@ -146,7 +151,12 @@ def assert_equiv(a, b, box, samples: int = 1000, tol: float = 1e-8, seed: int = 
         point_rel = 0.0
         for va, vb in zip(ya, yb):
             abs_err = abs(va - vb)
-            rel_err = abs_err / (1.0 + max(abs(va), abs(vb)))
+            if math.isfinite(abs_err):
+                rel_err = abs_err / (1.0 + max(abs(va), abs(vb)))
+            else:
+                # an inf or nan output must fail: inf/(1+inf) is nan, and nan
+                # never compares greater than the running maximum
+                abs_err = rel_err = math.inf
             if abs_err > max_abs:
                 max_abs = abs_err
             if rel_err > point_rel:

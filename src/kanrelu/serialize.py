@@ -28,50 +28,124 @@ def _fmt_number(v: float) -> str:
     return format(v, ".17g")
 
 
-def _encode(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(_fmt_number(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+class _QuotedStrings(dict):
+    """str -> JSON string literal, computed once per distinct string."""
+
+    def __missing__(self, key: str) -> str:
+        text = self[key] = json.dumps(key)
+        return text
+
+
+class _CanonicalEncoder:
+    """Encoding state for one document.
+
+    A class rather than nested functions: mutually recursive closures form a
+    reference cycle that would keep every output piece alive until the next
+    garbage collection.
+    """
+
+    def __init__(self) -> None:
+        self.quoted = _QuotedStrings()
+        self.seen: set[tuple[int, int]] = set()
+        self.texts: dict[tuple[int, int], str] = {}
+        self.out: list[str] = []
+
+    def scalar(self, value: Any) -> str:
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return str(value)
+        if isinstance(value, float):
+            return _fmt_number(value)
+        if isinstance(value, str):
+            return self.quoted[value]
+        raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
+
+    def encode(self, value: Any, indent: int) -> None:
+        out = self.out
+        if isinstance(value, dict):
+            if not value:
+                out.append("{}")
+                return
+            # the document holds every dict it reaches, so ids stay unique
+            key = (id(value), indent)
+            text = self.texts.get(key)
+            if text is not None:
+                out.append(text)
+            elif key in self.seen:
+                start = len(out)
+                self.encode_dict(value, indent)
+                text = self.texts[key] = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+            else:
+                self.seen.add(key)
+                self.encode_dict(value, indent)
+        elif isinstance(value, (list, tuple)):
+            if value:
+                self.encode_list(value, indent)
+            else:
+                out.append("[]")
+        else:
+            out.append(self.scalar(value))
+
+    def encode_dict(self, value: dict, indent: int) -> None:
+        out, quoted, encode = self.out, self.quoted, self.encode
+        inner = "  " * (indent + 1)
+        last = len(value) - 1
         out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{inner}{json.dumps(str(key))}: ")
-            _encode(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
+        for i, (k, v) in enumerate(value.items()):
+            out.append(f"{inner}{quoted[str(k)]}: ")
+            encode(v, indent + 1)
+            out.append(",\n" if i < last else "\n")
+        out.append("  " * indent + "}")
+
+    def encode_list(self, value, indent: int) -> None:
+        out = self.out
+        pad = "  " * indent
+        inner = "  " * (indent + 1)
+        kinds = set(map(type, value))
+        if kinds == {float}:
+            fmt = _fmt_number
+        elif kinds == {str}:
+            fmt = self.quoted.__getitem__
+        elif not any(issubclass(k, (dict, list, tuple)) for k in kinds):
+            fmt = self.scalar
+        else:
+            encode = self.encode
+            last = len(value) - 1
+            out.append("[\n")
+            for i, v in enumerate(value):
+                out.append(inner)
+                encode(v, indent + 1)
+                out.append(",\n" if i < last else "\n")
+            out.append(pad + "]")
             return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(inner)
-            _encode(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
+        # items go to ``out`` one by one, between copies of one shared
+        # separator: joining each list into its own string first fragments
+        # the heap and raised the peak memory of work done after a save
+        pieces = [",\n" + inner] * (2 * len(value) + 1)
+        pieces[0] = "[\n" + inner
+        pieces[1::2] = map(fmt, value)
+        pieces[-1] = "\n" + pad + "]"
+        out.extend(pieces)
 
 
 def dumps_canonical(obj: Any) -> str:
-    out: list[str] = []
-    _encode(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    """Encode a document canonically: two-space indent, one item per line.
+
+    A dict met again at the same depth is encoded once and its text reused
+    (converted KANs share one dict per distinct activation), and a list of
+    scalars is formatted in one pass without recursion.
+    """
+    encoder = _CanonicalEncoder()
+    encoder.encode(obj, 0)
+    encoder.out.append("\n")
+    return "".join(encoder.out)
 
 
 def _pl_to_dict(act: PiecewiseLinear) -> dict:
@@ -114,12 +188,19 @@ def _mlp_layer_to_dict(layer: MlpLayer, sparse: bool) -> dict:
 def model_to_dict(model, sparse: bool = False, metadata: dict[str, str] | None = None) -> dict:
     if isinstance(model, Kan):
         kind = "kan"
+        # one dict per distinct activation object; the model keeps the ids live
+        act_docs: dict[int, dict] = {}
+        for layer in model.layers:
+            for row in layer.activations:
+                for act in row:
+                    if id(act) not in act_docs:
+                        act_docs[id(act)] = _pl_to_dict(act)
         payload = {
             "layers": [
                 {
                     "n_in": layer.n_in,
                     "n_out": layer.n_out,
-                    "activations": [[_pl_to_dict(act) for act in row] for row in layer.activations],
+                    "activations": [[act_docs[id(act)] for act in row] for row in layer.activations],
                 }
                 for layer in model.layers
             ]

@@ -22,6 +22,8 @@ from kanrelu import (
     mlp_to_kan,
     pl_to_relu_unit,
 )
+from kanrelu.convert import _merge_affine
+from kanrelu.errors import ValidationError
 
 from conftest import random_kan, random_mlp, random_pl
 
@@ -279,6 +281,29 @@ class TestMlpToKan:
             got = eval_kan(kan, x)[0]
             assert abs(want - got) <= 1e-12 * max(1.0, abs(want))
 
+    def test_identical_activations_shared_with_sign_of_zero(self):
+        mlp = Mlp(
+            (
+                MlpLayer(((0.0, -0.0, 0.0), (1.5, 1.5, -0.0)), (-0.0, 0.0), Activation.RELU),
+                MlpLayer(((0.0, -0.0), (-0.0, 0.0)), (0.0, -0.0), Activation.IDENTITY),
+            )
+        )
+        kan = mlp_to_kan(mlp)
+        first, second = (layer.activations for layer in kan.layers)
+        assert first[0][1] is first[1][2]  # weight -0.0, intercept 0.0
+        assert first[1][0] is first[1][1]  # weight 1.5, intercept 0.0
+        assert first[0][2] is not first[0][1]  # weight 0.0 vs -0.0
+        assert first[0][0] is not first[0][2]  # intercept -0.0 vs 0.0
+        assert second[0][0] is second[1][1]
+        assert second[0][0] is not second[0][1]
+        assert second[0][1] is not second[1][0]
+        for t, layer in enumerate(kan.layers):
+            for q, row in enumerate(layer.activations):
+                for p, act in enumerate(row):
+                    assert repr(act.slopes[-1]) == repr(mlp.layers[t].weight[q][p])
+                    want = mlp.layers[t].bias[q] if p == 0 else 0.0
+                    assert repr(act.intercept) == repr(want)
+
     def test_bias_only_on_first_input_activation(self):
         rng = random.Random(67)
         mlp = random_mlp(rng, input_dim=3, max_depth=2)
@@ -290,3 +315,104 @@ class TestMlpToKan:
                         assert act.intercept == 0.0
                     else:
                         assert act.intercept == mlp.layers[t].bias[q]
+
+
+def _merge_affine_dense(w1, w1_tags, b1, b1_tags, w2_prev, w2_prev_tags, b2_prev, b2_prev_tags):
+    """Reference fold: the dense triple loop with a per-term tag rule.
+
+    A merged entry is structural only when every product term involves a
+    structural zero or is a product of two structural constants.
+    """
+    rows = len(w1)
+    inner = len(w2_prev)
+    cols = len(w2_prev[0]) if inner else 0
+
+    def term_forced(i, k, j):
+        left_tag = w1_tags[i][k]
+        left_val = w1[i][k]
+        if left_tag == STRUCTURAL and left_val == 0.0:
+            return True
+        right_tag = w2_prev_tags[k][j] if j is not None else b2_prev_tags[k]
+        right_val = w2_prev[k][j] if j is not None else b2_prev[k]
+        if right_tag == STRUCTURAL and right_val == 0.0:
+            return True
+        return left_tag == STRUCTURAL and right_tag == STRUCTURAL
+
+    weight = []
+    weight_tags = []
+    for i in range(rows):
+        row = []
+        tags = []
+        for j in range(cols):
+            acc = 0.0
+            forced = True
+            for k in range(inner):
+                acc += w1[i][k] * w2_prev[k][j]
+                if forced and not term_forced(i, k, j):
+                    forced = False
+            row.append(acc)
+            tags.append(STRUCTURAL if forced else FREE)
+        weight.append(tuple(row))
+        weight_tags.append(tuple(tags))
+
+    bias = []
+    bias_tags = []
+    for i in range(rows):
+        acc = b1[i]
+        forced = b1_tags[i] == STRUCTURAL
+        for k in range(inner):
+            acc += w1[i][k] * b2_prev[k]
+            if forced and not term_forced(i, k, None):
+                forced = False
+        bias.append(acc)
+        bias_tags.append(STRUCTURAL if forced else FREE)
+
+    return tuple(weight), tuple(weight_tags), tuple(bias), tuple(bias_tags)
+
+
+def _coarse_kan(rng):
+    """Random KAN over a few round values, so zero slopes, repeated slopes,
+    breakpoints at 0 and negative zeros all occur."""
+    values = (-1.0, -0.0, 0.0, 0.0, 1.0, 2.5)
+    widths = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+    layers = []
+    for n_in, n_out in zip(widths, widths[1:]):
+        rows = []
+        for _ in range(n_out):
+            row = []
+            for _ in range(n_in):
+                breakpoints = sorted(rng.sample((-1.5, -0.0, 0.5, 2.0), rng.randint(0, 3)))
+                slopes = [rng.choice(values) for _ in range(len(breakpoints) + 1)]
+                row.append(PiecewiseLinear(tuple(breakpoints), tuple(slopes), rng.choice(values)))
+            rows.append(tuple(row))
+        layers.append(KanLayer(tuple(rows)))
+    return Kan(tuple(layers))
+
+
+class TestFoldMatchesDenseReference:
+    @pytest.mark.parametrize("mode", list(ConversionMode))
+    def test_random_kans(self, mode):
+        rng = random.Random(71)
+        folds = 0
+        for i in range(60):
+            kan = random_kan(rng, max_depth=3) if i % 2 else _coarse_kan(rng)
+            blocks = [kan_layer_to_relu(layer, mode) for layer in kan.layers]
+            for prev, cur in zip(blocks, blocks[1:]):
+                args = (cur.w1, cur.w1_tags, cur.b1, cur.b1_tags,
+                        prev.w2, prev.w2_tags, prev.b2, prev.b2_tags)
+                got = _merge_affine(*args)
+                want = _merge_affine_dense(*args)
+                assert got == want
+                # repr tells -0.0 from 0.0, so this checks every bit
+                assert repr(got) == repr(want)
+                folds += 1
+        assert folds > 30
+
+    def test_non_one_hot_row_rejected(self):
+        s = STRUCTURAL
+        prev = (((1.0,), (2.0,)), ((FREE,), (FREE,)), (0.0, 0.0), (FREE, FREE))
+        for w1 in (((1.0, 1.0),), ((0.0, 0.0),), ((2.0, 0.0),)):
+            with pytest.raises(ValidationError, match="one-hot"):
+                _merge_affine(w1, ((s, s),), (0.0,), (s,), *prev)
+        with pytest.raises(ValidationError, match="one-hot"):
+            _merge_affine(((1.0, 0.0),), ((FREE, s),), (0.0,), (s,), *prev)

@@ -5,9 +5,12 @@ import random
 import pytest
 
 from kanrelu import (
+    Activation,
     ConversionMode,
     Kan,
     KanLayer,
+    Mlp,
+    MlpLayer,
     PiecewiseLinear,
     ShapeError,
     assert_equiv,
@@ -69,6 +72,20 @@ class TestSampledEquiv:
         two = Kan((KanLayer(((identity_pl, identity_pl),)),))
         with pytest.raises(ShapeError):
             assert_equiv(one, two, (-1.0, 1.0), samples=10)
+
+    @pytest.mark.parametrize("scale_a, scale_b", [(10.0, -10.0), (10.0, 10.0), (10.0, 1e-300)])
+    def test_non_finite_outputs_fail(self, scale_a, scale_b):
+        # relu(1e308) scaled by 10 overflows to inf; the last case stays finite on one side
+        def net(scale):
+            return Mlp((
+                MlpLayer(((0.0,),), (1e308,), Activation.RELU),
+                MlpLayer(((scale,),), (0.0,), Activation.IDENTITY),
+            ))
+
+        report = assert_equiv(net(scale_a), net(scale_b), (-1.0, 1.0), samples=10)
+        assert not report.passed
+        assert report.max_abs_error == report.max_rel_error == float("inf")
+        assert report.to_dict()["max_rel_error"] is None
 
     def test_reports_are_bit_identical(self):
         rng = random.Random(7)

@@ -1,23 +1,31 @@
 """Model files: round trips, validation, CLI exit codes and golden outputs."""
 import contextlib
+import gc
 import io
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanrelu import (
     ConversionMode,
+    Kan,
+    KanLayer,
     ParseError,
+    PiecewiseLinear,
     ValidationError,
     dumps_model,
     kan_to_mlp,
     load,
     loads_model,
+    mlp_to_kan,
     save,
 )
 from kanrelu.cli import main
+from kanrelu.serialize import _fmt_number, dumps_canonical, model_to_dict
 
 from conftest import random_kan
 
@@ -99,6 +107,127 @@ class TestRoundTrip:
         assert first.read_bytes() == second.read_bytes()
 
 
+def _encode_reference(obj, indent, out):
+    """Reference encoder: one recursive call per value, nothing cached."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_fmt_number(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(f"{inner}{json.dumps(str(key))}: ")
+            _encode_reference(value, indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(obj):
+            out.append(inner)
+            _encode_reference(value, indent + 1, out)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise ValidationError(f"cannot serialize value of type {type(obj).__name__}")
+
+
+def _dumps_reference(obj):
+    out = []
+    _encode_reference(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0]),
+    st.sampled_from(["structural", "free"]),
+    st.text(max_size=6),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@st.composite
+def _documents(draw):
+    """A document holding one shared sub-object at several depths, repeats included."""
+    shared = draw(st.one_of(
+        st.lists(_VALUES, min_size=1, max_size=3),
+        st.dictionaries(st.text(max_size=4), _VALUES, min_size=1, max_size=3),
+    ))
+    return {
+        "top": shared,
+        "nested": [shared, {"deeper": [shared, shared]}, draw(_VALUES)],
+        "again": [shared, draw(_VALUES), shared],
+        "other": draw(_VALUES),
+        "empty": [[], {}, ()],
+    }
+
+
+class TestCanonicalEncoder:
+    @given(_documents())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_encoder(self, doc):
+        assert dumps_canonical(doc) == _dumps_reference(doc)
+
+    @given(_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_on_plain_values(self, value):
+        assert dumps_canonical(value) == _dumps_reference(value)
+
+    @pytest.mark.parametrize("bad", [[1.0, float("inf")], {"a": [float("nan")]}, [2, -float("inf")]])
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            dumps_canonical(bad)
+
+    def test_encoding_leaves_no_cyclic_garbage(self):
+        # a reference cycle would keep every output piece alive until a collection
+        doc = {"rows": [[float(i), -0.0, 1] for i in range(50)], "shared": [{"a": "free"}] * 3}
+        gc.collect()
+        gc.disable()
+        try:
+            dumps_canonical(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_converted_kan_shares_activation_dicts(self):
+        rng = random.Random(37)
+        kan = mlp_to_kan(kan_to_mlp(random_kan(rng, input_dim=3), ConversionMode.EXACT))
+        doc = model_to_dict(kan)
+        acts = [a for layer in doc["payload"]["layers"] for row in layer["activations"] for a in row]
+        distinct = {id(a) for layer in kan.layers for row in layer.activations for a in row}
+        assert len({id(a) for a in acts}) == len(distinct) < len(acts)
+        assert dumps_canonical(doc) == _dumps_reference(doc)
+
+
 class TestValidationOnLoad:
     def test_mlp_with_relu_output_rejected(self):
         text = dumps_model(load(FIXTURES / "abs_mlp.json"))
@@ -174,6 +303,25 @@ class TestCliExitCodes:
                               "--box", "-1", "1", "-1", "1",
                               "--out", tmp_path / "g.csv"])
         assert code == 2
+
+    def test_verify_zero_samples_exits_two(self):
+        code, out, err = run_cli(["verify", FIXTURES / "three_segment_kan.json",
+                                  FIXTURES / "three_segment_mlp.json", "--samples", "0"])
+        assert code == 2
+        assert out == "" and "--samples" in err
+
+    def test_verify_json_reports_infinite_errors_as_null(self, tmp_path):
+        # different cut counts: the exact-1d report carries infinite errors
+        relu = Kan((KanLayer(((PiecewiseLinear((0.0,), (0.0, 1.0), 0.0),),)),))
+        kinked = Kan((KanLayer(((PiecewiseLinear((-1.0, 1.0), (1.0, 2.0, 0.5), 0.0),),)),))
+        save(relu, tmp_path / "a.json")
+        save(kinked, tmp_path / "b.json")
+        code, out, err = run_cli(["verify", tmp_path / "a.json", tmp_path / "b.json",
+                                  "--exact-1d", "--json"])
+        assert code == 1, err
+        report = json.loads(out)
+        assert report["max_abs_error"] is None and report["max_rel_error"] is None
+        assert report["passed"] is False
 
     def test_seed_changes_sample_set_but_not_verdict(self):
         a = FIXTURES / "three_segment_kan.json"
