@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, ShapeError, ValidationError
@@ -22,6 +23,10 @@ def _finite_floats(values: Iterable[float], name: str) -> tuple[float, ...]:
         if not math.isfinite(v):
             raise ValidationError(f"{name} must be finite, got {v!r}")
     return out
+
+
+def _all_finite(values: Iterable[float]) -> bool:
+    return all(map(math.isfinite, values))
 
 
 def _as_vector(x: Sequence[float], expected: int, what: str) -> Vector:
@@ -250,16 +255,39 @@ class MlpLayer:
     def n_out(self) -> int:
         return len(self.weight)
 
+    @cached_property
+    def nonzero_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per row, the ``(column, weight)`` pairs whose weight is not ``±0.0``, columns ascending.
+
+        A view derived from ``weight`` on first use, so building, counting
+        and saving a layer never pay for it.
+        """
+        return tuple(
+            tuple((p, w) for p, w in enumerate(row) if w != 0.0) for row in self.weight
+        )
+
+    def summation_rows(self, finite_input: bool) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """The ``(column, weight)`` pairs a row sum must visit, columns ascending.
+
+        A sum that starts at ``+0.0`` is never ``-0.0``, so adding a skipped
+        ``0.0 * x`` term (``±0.0`` for finite ``x``) would leave it unchanged:
+        over finite inputs the nonzero entries give the dense sum bit for
+        bit.  ``0.0 * inf`` is NaN, so a non-finite input visits every entry.
+        """
+        if finite_input:
+            return self.nonzero_rows
+        return tuple(tuple(enumerate(row)) for row in self.weight)
+
     def apply(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.n_in, "MlpLayer input")
+        relu = self.activation is Activation.RELU
         out = []
-        for q in range(self.n_out):
-            row = self.weight[q]
+        for row, bias in zip(self.summation_rows(_all_finite(v)), self.bias):
             acc = 0.0
-            for p in range(self.n_in):
-                acc += row[p] * v[p]
-            acc += self.bias[q]
-            if self.activation is Activation.RELU:
+            for p, w in row:
+                acc += w * v[p]
+            acc += bias
+            if relu:
                 acc = acc if acc > 0.0 else 0.0
             out.append(acc)
         return tuple(out)

@@ -18,8 +18,6 @@ DEFAULT_SEED = 0
 BREAKPOINT_PROBE_OFFSET = 1e-6
 CUT_PAIRING_TOL = 1e-9
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _finite_or_none(value: float) -> float | None:
     return value if math.isfinite(value) else None
@@ -56,18 +54,31 @@ def _radical_inverse(base: int, index: int) -> float:
     return value
 
 
+def _first_primes(count: int) -> list[int]:
+    """The first ``count`` primes, one Halton base per dimension."""
+    primes: list[int] = []
+    n = 2
+    while len(primes) < count:
+        if all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        n += 1
+    return primes
+
+
 def halton_points(dim: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple[float, ...]]:
     """Deterministic low-discrepancy points in [0,1)^dim.
+
+    Coordinate d is the radical inverse in the d-th prime base, so the first
+    coordinates of a point do not depend on ``dim``.
 
     The seed offsets the start index of the sequence, so reports are
     reproducible and a different seed gives a fresh but still deterministic
     sweep.
     """
-    if dim > len(_PRIMES):
-        raise ValidationError(f"halton sampling supports up to {len(_PRIMES)} dimensions")
+    bases = _first_primes(dim)
     start = 1 + max(0, int(seed))
     return [
-        tuple(_radical_inverse(_PRIMES[d], start + i) for d in range(dim))
+        tuple(_radical_inverse(base, start + i) for base in bases)
         for i in range(count)
     ]
 
@@ -175,6 +186,24 @@ def assert_equiv(a, b, box, samples: int = 1000, tol: float = 1e-8, seed: int = 
     )
 
 
+def _first_unpaired_cut(cuts_a, cuts_b) -> float | None:
+    """Walk both ascending cut lists, pairing cuts within CUT_PAIRING_TOL.
+
+    Returns the smallest cut of either list left without a partner, or None
+    when every cut is paired.
+    """
+    i = j = 0
+    while i < len(cuts_a) and j < len(cuts_b):
+        a, b = cuts_a[i], cuts_b[j]
+        if abs(a - b) <= CUT_PAIRING_TOL * max(1.0, abs(a), abs(b)):
+            i += 1
+            j += 1
+        else:
+            return min(a, b)
+    rest = cuts_a[i:] or cuts_b[j:]
+    return rest[0] if rest else None
+
+
 def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
     """Certify equivalence of two 1-input networks by comparing complexes.
 
@@ -187,12 +216,9 @@ def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
     if ca.output_dim != cb.output_dim:
         raise ShapeError("networks have different output dimensions")
 
-    if len(ca.cut_points) != len(cb.cut_points):
-        witness = (ca.cut_points or cb.cut_points or (0.0,))[0]
-        return EquivReport(math.inf, math.inf, (witness,), 0, False, "exact_1d")
-    for cut_a, cut_b in zip(ca.cut_points, cb.cut_points):
-        if abs(cut_a - cut_b) > CUT_PAIRING_TOL * max(1.0, abs(cut_a), abs(cut_b)):
-            return EquivReport(math.inf, math.inf, (cut_a,), 0, False, "exact_1d")
+    unpaired = _first_unpaired_cut(ca.cut_points, cb.cut_points)
+    if unpaired is not None:
+        return EquivReport(math.inf, math.inf, (unpaired,), 0, False, "exact_1d")
 
     max_abs = 0.0
     max_rel = 0.0

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .core import Activation, Kan, Mlp, Vector
+from .core import Activation, Kan, Mlp, MlpLayer, Vector, _all_finite
 from .errors import UnsupportedDimensionError, ValidationError
 
 CUT_MERGE_TOL = 1e-12
@@ -166,16 +167,18 @@ def _apply_grid(cuts: list[float], forms: list[Forms], grid) -> tuple[list[float
     return cuts, new_forms
 
 
-def _apply_affine(forms: list[Forms], weight, bias) -> list[Forms]:
+def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
+    rows = layer.summation_rows(_all_finite(chain.from_iterable(chain.from_iterable(forms))))
     new_forms = []
     for interval_forms in forms:
         out: Forms = []
-        for q in range(len(weight)):
+        for row, bias in zip(rows, layer.bias):
             acc_a = acc_b = 0.0
-            for p, (a, b) in enumerate(interval_forms):
-                acc_a += weight[q][p] * a
-                acc_b += weight[q][p] * b
-            out.append((acc_a, acc_b + bias[q]))
+            for p, w in row:
+                a, b = interval_forms[p]
+                acc_a += w * a
+                acc_b += w * b
+            out.append((acc_a, acc_b + bias))
         new_forms.append(out)
     return new_forms
 
@@ -188,9 +191,11 @@ def _apply_relu(cuts: list[float], forms: list[Forms]) -> tuple[list[float], lis
     for i, interval_forms in enumerate(forms):
         m = _midpoint(cuts, i)
         out: Forms = []
-        for a, b in interval_forms:
-            # constant pieces sitting exactly on the kink count as active
-            out.append((a, b) if a * m + b >= 0.0 else (0.0, 0.0))
+        for form in interval_forms:
+            a, b = form
+            # constant pieces sitting exactly on the kink count as active; an
+            # active form keeps its tuple, which saves a copy of every form
+            out.append(form if a * m + b >= 0.0 else (0.0, 0.0))
         new_forms.append(out)
     return cuts, new_forms
 
@@ -228,7 +233,7 @@ def exact_regions_1d(net: Kan | Mlp, normalize: bool = True) -> Complex1D:
             cuts, forms = _apply_grid(cuts, forms, layer.activations)
     elif isinstance(net, Mlp):
         for layer in net.layers:
-            forms = _apply_affine(forms, layer.weight, layer.bias)
+            forms = _apply_affine(forms, layer)
             if layer.activation is Activation.RELU:
                 cuts, forms = _apply_relu(cuts, forms)
     else:

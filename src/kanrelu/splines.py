@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .core import Vector, _as_vector, _finite_floats
+from .core import Vector, _all_finite, _as_vector, _finite_floats
 from .errors import ValidationError
 
 MAX_DEGREE = 5
@@ -131,14 +132,37 @@ class SplineKan:
     def output_dim(self) -> int:
         return len(self.layers[-1])
 
+    @cached_property
+    def live_columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per layer and row, the ascending indices of activations that are not constant zero.
+
+        An activation is constant zero when every coefficient of every piece
+        is ``±0.0``.  Built on first use.
+        """
+        return tuple(
+            tuple(
+                tuple(
+                    p
+                    for p, act in enumerate(row)
+                    if any(c != 0.0 for coeffs in act.piece_coeffs for c in coeffs)
+                )
+                for row in grid
+            )
+            for grid in self.layers
+        )
+
     def evaluate(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.input_dim, "SplineKan input")
-        for grid in self.layers:
+        for grid, live_rows in zip(self.layers, self.live_columns):
+            # a constant-zero activation gives ±0.0 at a finite input, which
+            # leaves a sum started at +0.0 unchanged; at inf or NaN it gives NaN
+            if not _all_finite(v):
+                live_rows = [range(len(row)) for row in grid]
             out = []
-            for row in grid:
+            for row, live in zip(grid, live_rows):
                 acc = 0.0
-                for p, act in enumerate(row):
-                    acc += act.evaluate(v[p])
+                for p in live:
+                    acc += row[p].evaluate(v[p])
                 out.append(acc)
             v = tuple(out)
         return v

@@ -34,6 +34,32 @@ class TestHalton:
         for point in halton_points(4, 200):
             assert all(0.0 <= v < 1.0 for v in point)
 
+    def test_first_twelve_dimensions_unchanged(self):
+        # the fixed base table the sequence used before bases were generated
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+        def radical_inverse(base, index):
+            scale, value = 1.0, 0.0
+            while index > 0:
+                scale /= base
+                value += scale * (index % base)
+                index //= base
+            return value
+
+        for seed in (0, 7):
+            expected = [
+                tuple(radical_inverse(b, 1 + seed + i) for b in bases) for i in range(300)
+            ]
+            assert halton_points(12, 300, seed) == expected
+            assert [p[:12] for p in halton_points(16, 300, seed)] == expected
+
+    def test_more_than_twelve_dimensions(self):
+        points = halton_points(40, 64, seed=3)
+        assert len(points) == 64 and all(len(p) == 40 for p in points)
+        assert all(0.0 <= v < 1.0 for p in points for v in p)
+        # dimension 13 uses base 41: index 4 (seed 3, first point) maps to 4/41
+        assert points[0][12] == 4 / 41
+
 
 class TestSampledEquiv:
     def test_identical_networks(self, three_segment_pl):
@@ -117,6 +143,26 @@ class TestExact1D:
         b = Kan((KanLayer(((shifted,),)),))
         report = equiv_exact_1d(a, b, tol=1e-9)
         assert not report.passed
+
+    @pytest.mark.parametrize(
+        "cuts_a, cuts_b, witness",
+        [
+            ((0.0, 1.0), (0.0,), 1.0),  # extra cut on side a
+            ((0.0,), (0.0, 1.0), 1.0),  # extra cut on side b
+            ((0.0, 1.5), (0.0, 1.0), 1.0),  # shifted cut, side b's comes first
+            ((-2.0, 0.0, 1.0), (0.0, 1.0 + 1e-12), -2.0),
+        ],
+    )
+    def test_reports_first_unpaired_cut(self, cuts_a, cuts_b, witness):
+        def kinked(cuts):
+            slopes = tuple(float(i) for i in range(len(cuts) + 1))
+            return Kan((KanLayer(((PiecewiseLinear(cuts, slopes, 0.0),),)),))
+
+        for a, b in ((cuts_a, cuts_b), (cuts_b, cuts_a)):
+            report = equiv_exact_1d(kinked(a), kinked(b), tol=1e-9)
+            assert not report.passed
+            assert report.worst_point == (witness,)
+            assert report.samples == 0
 
     def test_exact_pass_implies_sampled_pass(self):
         rng = random.Random(13)

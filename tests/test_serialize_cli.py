@@ -323,6 +323,18 @@ class TestCliExitCodes:
         assert report["max_abs_error"] is None and report["max_rel_error"] is None
         assert report["passed"] is False
 
+    def test_verify_sixteen_input_kan_against_its_mlp(self, tmp_path):
+        # Halton bases used to stop at 12 primes, so verify raised above 12 inputs
+        kan = random_kan(random.Random(31), input_dim=16, output_dim=2, max_width=3,
+                         max_depth=2, max_segments=3)
+        save(kan, tmp_path / "kan.json")
+        save(kan_to_mlp(kan, ConversionMode.EXACT), tmp_path / "mlp.json")
+        code, out, err = run_cli(["verify", tmp_path / "kan.json", tmp_path / "mlp.json",
+                                  "--samples", "200", "--tol", "1e-8", "--json"])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["passed"] and len(report["worst_point"]) == 16
+
     def test_seed_changes_sample_set_but_not_verdict(self):
         a = FIXTURES / "three_segment_kan.json"
         b = FIXTURES / "three_segment_mlp.json"
