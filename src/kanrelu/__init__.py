@@ -4,11 +4,9 @@ from .convert import (
     FREE,
     STRUCTURAL,
     ConversionMode,
-    ReluBlock,
     kan_layer_to_relu,
     kan_to_mlp,
     mlp_to_kan,
-    pl_to_relu_unit,
 )
 from .core import (
     Activation,

@@ -1,9 +1,8 @@
 """Conversions between KANs and ReLU MLPs.
 
-Direction one lowers each univariate activation to a one-hidden-layer ReLU
-block, assembles blocks into a layer-sized block, then chains layers by
-folding each block's output affine map into the next block's input affine
-map.  Direction two re-expresses an MLP as a KAN whose activations are
+Direction one lowers each KAN layer to a block, a two-layer ReLU MLP with
+one hidden layer, then chains blocks by folding each block's output affine
+map into the next block's input affine map.  Direction two re-expresses an MLP as a KAN whose activations are
 one- or two-segment piecewise linear functions.
 
 Two lowering modes exist.  "exact" spends one shared hidden pair
@@ -14,11 +13,11 @@ where the converted activation's input is nonnegative.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from enum import Enum
 from typing import Sequence
 
-from .core import Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear, Vector, _as_vector
+from .core import Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear
 from .errors import ValidationError
 
 STRUCTURAL = "structural"
@@ -26,155 +25,92 @@ FREE = "free"
 
 
 class ConversionMode(str, Enum):
+    """How a KAN layer is lowered to ReLU units.
+
+    ``EXACT`` equals the source layer on all of R.  ``PAPER`` is the compact
+    single-sided form and is only correct for inputs >= 0.
+    """
+
     EXACT = "exact"
     PAPER = "paper"
 
 
-@dataclass(frozen=True)
-class ReluBlock:
-    """One-hidden-layer ReLU network x -> w2 @ relu(w1 @ x + b1) + b2.
+def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
+    """Lower a whole KAN layer to a one-hidden-layer ReLU network.
 
-    Every entry carries a provenance tag: "structural" entries are the
-    0/+1/-1 constants forced by the construction pattern, "free" entries
-    carry source-model parameters.  ``valid_lower`` is None when the block
-    equals its source everywhere, or 0.0 when it is only guaranteed on
-    inputs with all coordinates >= 0.
+    The result is a two-layer ``Mlp``: a ReLU layer ``(w1, b1)`` whose hidden
+    units each read exactly one input coordinate, then an identity layer
+    ``(w2, b2)``.  Every entry carries a provenance tag: "structural" entries
+    are the 0/+1/-1 constants forced by the construction pattern, "free"
+    entries carry source-model parameters.
+
+    In exact mode the first 2*n_in units are the shared identity pairs
+    relu(x_p), relu(-x_p), then one unit per activation breakpoint; hidden
+    width is 2*n_in + sum(segments - 1).  In paper mode each activation gets
+    one first-segment unit relu(x_p) plus its breakpoint units; hidden width
+    is sum(segments).
     """
-
-    w1: tuple[tuple[float, ...], ...]
-    b1: tuple[float, ...]
-    w2: tuple[tuple[float, ...], ...]
-    b2: tuple[float, ...]
-    w1_tags: tuple[tuple[str, ...], ...]
-    b1_tags: tuple[str, ...]
-    w2_tags: tuple[tuple[str, ...], ...]
-    b2_tags: tuple[str, ...]
-    valid_lower: float | None = None
-
-    def __post_init__(self) -> None:
-        hidden = len(self.b1)
-        if len(self.w1) != hidden or len(self.w1_tags) != hidden or len(self.b1_tags) != hidden:
-            raise ValidationError("hidden stage shapes must agree")
-        if len(self.b2) != len(self.w2) or len(self.b2_tags) != len(self.w2):
-            raise ValidationError("output stage shapes must agree")
-        for row, tags in zip(self.w2, self.w2_tags):
-            if len(row) != hidden or len(tags) != hidden:
-                raise ValidationError("w2 width must equal hidden width")
-
-    @property
-    def n_in(self) -> int:
-        return len(self.w1[0])
-
-    @property
-    def n_out(self) -> int:
-        return len(self.w2)
-
-    @property
-    def hidden_width(self) -> int:
-        return len(self.b1)
-
-    def apply(self, x: Sequence[float]) -> Vector:
-        v = _as_vector(x, self.n_in, "ReluBlock input")
-        hidden = []
-        for row, b in zip(self.w1, self.b1):
-            acc = b
-            for p, w in enumerate(row):
-                acc += w * v[p]
-            hidden.append(acc if acc > 0.0 else 0.0)
-        out = []
-        for row, b in zip(self.w2, self.b2):
-            acc = b
-            for h, w in enumerate(row):
-                acc += w * hidden[h]
-            out.append(acc)
-        return tuple(out)
-
-
-def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> ReluBlock:
-    """Lower a whole KAN layer to a single ReLU block.
-
-    Hidden units read exactly one input coordinate each.  In exact mode the
-    first 2*n_in units are the shared identity pairs, then one unit per
-    activation breakpoint; hidden width is 2*n_in + sum(segments - 1).  In
-    paper mode each activation gets one first-segment unit plus its
-    breakpoint units; hidden width is sum(segments).
-    """
-    mode = ConversionMode(mode)
-    n_in, n_out = layer.n_in, layer.n_out
-    acts = layer.activations
+    exact = ConversionMode(mode) is ConversionMode.EXACT
+    n_in = layer.n_in
 
     # hidden units: (input coordinate, sign, bias, bias tag)
     units: list[tuple[int, float, float, str]] = []
-    # per activation, the hidden indices and weights its output row uses
-    row_entries: list[list[tuple[int, float]]] = [[] for _ in range(n_out)]
-
-    if mode is ConversionMode.EXACT:
+    if exact:
         for p in range(n_in):
             units.append((p, 1.0, 0.0, STRUCTURAL))
             units.append((p, -1.0, 0.0, STRUCTURAL))
-        for q in range(n_out):
-            for p in range(n_in):
-                act = acts[q][p]
-                row_entries[q].append((2 * p, act.slopes[0]))
-                row_entries[q].append((2 * p + 1, -act.slopes[0]))
-                for i, b in enumerate(act.breakpoints):
-                    row_entries[q].append((len(units), act.slopes[i + 1] - act.slopes[i]))
-                    units.append((p, 1.0, -b, FREE))
-        valid_lower = None
-    else:
-        for q in range(n_out):
-            for p in range(n_in):
-                act = acts[q][p]
-                row_entries[q].append((len(units), act.slopes[0]))
+    # per output row, the hidden indices and weights it uses
+    row_entries: list[list[tuple[int, float]]] = []
+    for acts in layer.activations:
+        entries = []
+        for p, act in enumerate(acts):
+            if exact:
+                entries.append((2 * p, act.slopes[0]))
+                entries.append((2 * p + 1, -act.slopes[0]))
+            else:
+                entries.append((len(units), act.slopes[0]))
                 units.append((p, 1.0, 0.0, STRUCTURAL))
-                for i, b in enumerate(act.breakpoints):
-                    row_entries[q].append((len(units), act.slopes[i + 1] - act.slopes[i]))
-                    units.append((p, 1.0, -b, FREE))
-        valid_lower = 0.0
+            for i, b in enumerate(act.breakpoints):
+                entries.append((len(units), act.slopes[i + 1] - act.slopes[i]))
+                units.append((p, 1.0, -b, FREE))
+        row_entries.append(entries)
 
-    hidden = len(units)
     w1 = []
-    w1_tags = []
-    b1 = []
-    b1_tags = []
-    for p, sign, bias, bias_tag in units:
+    for p, sign, _bias, _tag in units:
         row = [0.0] * n_in
         row[p] = sign
         w1.append(tuple(row))
-        w1_tags.append(tuple(STRUCTURAL for _ in range(n_in)))
-        b1.append(bias)
-        b1_tags.append(bias_tag)
 
+    hidden = len(units)
     w2 = []
     w2_tags = []
-    for q in range(n_out):
+    for entries in row_entries:
         row = [0.0] * hidden
         tags = [STRUCTURAL] * hidden
-        for idx, weight in row_entries[q]:
+        for idx, weight in entries:
             row[idx] = weight
             tags[idx] = FREE
         w2.append(tuple(row))
         w2_tags.append(tuple(tags))
 
-    b2 = tuple(sum(acts[q][p].intercept for p in range(n_in)) for q in range(n_out))
-    b2_tags = tuple(FREE for _ in range(n_out))
-
-    return ReluBlock(
-        w1=tuple(w1),
-        b1=tuple(b1),
-        w2=tuple(w2),
-        b2=b2,
-        w1_tags=tuple(w1_tags),
-        b1_tags=tuple(b1_tags),
-        w2_tags=tuple(w2_tags),
-        b2_tags=b2_tags,
-        valid_lower=valid_lower,
+    return Mlp(
+        (
+            MlpLayer(
+                weight=tuple(w1),
+                bias=tuple(u[2] for u in units),
+                activation=Activation.RELU,
+                weight_tags=((STRUCTURAL,) * n_in,) * hidden,
+                bias_tags=tuple(u[3] for u in units),
+            ),
+            MlpLayer(
+                weight=tuple(w2),
+                bias=tuple(sum(act.intercept for act in acts) for acts in layer.activations),
+                activation=Activation.IDENTITY,
+                weight_tags=tuple(w2_tags),
+                bias_tags=(FREE,) * layer.n_out,
+            ),
+        )
     )
-
-
-def pl_to_relu_unit(f: PiecewiseLinear, mode: ConversionMode | str) -> ReluBlock:
-    """Lower a single activation; the 1-by-1 layer case of kan_layer_to_relu."""
-    return kan_layer_to_relu(KanLayer(((f,),)), mode)
 
 
 def _merge_affine(
@@ -250,23 +186,13 @@ def kan_to_mlp(kan: Kan, mode: ConversionMode | str) -> Mlp:
     blocks = [kan_layer_to_relu(layer, mode) for layer in kan.layers]
     source_counts = _source_params_per_affine(kan)
 
-    layers = []
-    first = blocks[0]
-    layers.append(
-        MlpLayer(
-            weight=first.w1,
-            bias=first.b1,
-            activation=Activation.RELU,
-            weight_tags=first.w1_tags,
-            bias_tags=first.b1_tags,
-            source_params=source_counts[0],
-        )
-    )
+    # only the end layers are re-validated; each folded layer is built once
+    layers = [replace(blocks[0].layers[0], source_params=source_counts[0])]
     for t in range(1, len(blocks)):
-        prev, cur = blocks[t - 1], blocks[t]
+        prev, cur = blocks[t - 1].layers[1], blocks[t].layers[0]
         weight, weight_tags, bias, bias_tags = _merge_affine(
-            cur.w1, cur.w1_tags, cur.b1, cur.b1_tags,
-            prev.w2, prev.w2_tags, prev.b2, prev.b2_tags,
+            cur.weight, cur.weight_tags, cur.bias, cur.bias_tags,
+            prev.weight, prev.weight_tags, prev.bias, prev.bias_tags,
         )
         layers.append(
             MlpLayer(
@@ -278,17 +204,7 @@ def kan_to_mlp(kan: Kan, mode: ConversionMode | str) -> Mlp:
                 source_params=source_counts[t],
             )
         )
-    last = blocks[-1]
-    layers.append(
-        MlpLayer(
-            weight=last.w2,
-            bias=last.b2,
-            activation=Activation.IDENTITY,
-            weight_tags=last.w2_tags,
-            bias_tags=last.b2_tags,
-            source_params=source_counts[-1],
-        )
-    )
+    layers.append(replace(blocks[-1].layers[1], source_params=source_counts[-1]))
     return Mlp(tuple(layers))
 
 

@@ -25,6 +25,27 @@ def _finite_floats(values: Iterable[float], name: str) -> tuple[float, ...]:
     return out
 
 
+def _affine_params(
+    weight: Iterable[Iterable[float]], bias: Iterable[float], prefix: str = ""
+) -> tuple[tuple[tuple[float, ...], ...], Vector]:
+    """Float copies of an affine map's weight rows and bias, validated.
+
+    The weight must be a non-empty rectangular matrix with one bias entry per
+    row, and every entry must be finite.  ``prefix`` names the map in errors.
+    """
+    rows = tuple(_finite_floats(row, f"{prefix}weight row") for row in weight)
+    bias = _finite_floats(bias, f"{prefix}bias")
+    if not rows or not rows[0]:
+        raise ValidationError(f"{prefix}weight matrix must be non-empty")
+    width = len(rows[0])
+    for row in rows:
+        if len(row) != width:
+            raise ValidationError(f"{prefix}weight matrix must be rectangular")
+    if len(bias) != len(rows):
+        raise ValidationError(f"{prefix}bias length must equal weight row count")
+    return rows, bias
+
+
 def _all_finite(values: Iterable[float]) -> bool:
     return all(map(math.isfinite, values))
 
@@ -225,18 +246,11 @@ class MlpLayer:
     source_params: int | None = None
 
     def __post_init__(self) -> None:
-        rows = tuple(_finite_floats(row, "weight row") for row in self.weight)
+        rows, bias = _affine_params(self.weight, self.bias)
         object.__setattr__(self, "weight", rows)
-        object.__setattr__(self, "bias", _finite_floats(self.bias, "bias"))
+        object.__setattr__(self, "bias", bias)
         object.__setattr__(self, "activation", Activation(self.activation))
-        if not rows or not rows[0]:
-            raise ValidationError("weight matrix must be non-empty")
         width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValidationError("weight matrix must be rectangular")
-        if len(self.bias) != len(rows):
-            raise ValidationError("bias length must equal weight row count")
         if self.weight_tags is not None:
             tags = tuple(tuple(t) for t in self.weight_tags)
             object.__setattr__(self, "weight_tags", tags)

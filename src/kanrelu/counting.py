@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .convert import ConversionMode, kan_layer_to_relu, kan_to_mlp, mlp_to_kan
+from .convert import ConversionMode, kan_to_mlp, mlp_to_kan
 from .core import Kan, Mlp
 from .errors import ValidationError
 
@@ -288,13 +288,11 @@ def class_embedding_check(k: Kan) -> EmbeddingReport:
     source = signature_of_kan(k)
     n, kb = source.width, source.segment_bound or 0
 
-    paper_widths = [kan_layer_to_relu(layer, ConversionMode.PAPER).hidden_width for layer in k.layers]
-    exact_widths = [kan_layer_to_relu(layer, ConversionMode.EXACT).hidden_width for layer in k.layers]
     paper_mlp = kan_to_mlp(k, ConversionMode.PAPER)
     exact_mlp = kan_to_mlp(k, ConversionMode.EXACT)
 
-    paper_width = max(paper_widths)
-    exact_width = max(exact_widths)
+    paper_width = max(paper_mlp.hidden_widths)
+    exact_width = max(exact_mlp.hidden_widths)
     paper_limit = n * n * (kb + 1)
     exact_limit = n * n * kb + 2 * n
 

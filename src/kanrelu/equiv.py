@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import Kan, Mlp
 from .errors import ShapeError, ValidationError
-from .regions import exact_regions_1d
+from .regions import _midpoint, exact_regions_1d
 
 DEFAULT_SEED = 0
 BREAKPOINT_PROBE_OFFSET = 1e-6
@@ -235,20 +235,10 @@ def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
         if piece_rel > max_rel:
             max_rel = piece_rel
             worst_piece = i
-    cuts = ca.cut_points
-    if not cuts:
-        witness = 0.0
-    elif worst_piece == 0:
-        witness = cuts[0] - 1.0
-    elif worst_piece == len(cuts):
-        witness = cuts[-1] + 1.0
-    else:
-        witness = 0.5 * (cuts[worst_piece - 1] + cuts[worst_piece])
-
     return EquivReport(
         max_abs_error=max_abs,
         max_rel_error=max_rel,
-        worst_point=(witness,),
+        worst_point=(_midpoint(ca.cut_points, worst_piece),),
         samples=compared,
         passed=max_rel <= tol,
         mode="exact_1d",

@@ -317,22 +317,27 @@ def _parse_pl(doc: Any, where: str) -> PiecewiseLinear:
     )
 
 
-def _parse_kan(payload: Any) -> Kan:
-    layers_doc = _need(payload, "layers", list, "payload")
+def _parse_layers(payload: Any, parse_act, make_layer) -> tuple:
+    """Each KAN layer, built by ``make_layer`` from its activation grid as
+    soon as every entry of the grid is read by ``parse_act``."""
     layers = []
-    for i, layer_doc in enumerate(layers_doc):
+    for i, layer_doc in enumerate(_need(payload, "layers", list, "payload")):
         where = f"payload.layers[{i}]"
         n_in = _need(layer_doc, "n_in", int, where)
         n_out = _need(layer_doc, "n_out", int, where)
         grid_doc = _need(layer_doc, "activations", list, where)
         if len(grid_doc) != n_out or any(len(row) != n_in for row in grid_doc):
             raise ParseError(f"{where}.activations: grid must be n_out rows of n_in entries")
-        rows = tuple(
-            tuple(_parse_pl(act, f"{where}.activations[{q}][{p}]") for p, act in enumerate(row))
+        grid = tuple(
+            tuple(parse_act(act, f"{where}.activations[{q}][{p}]") for p, act in enumerate(row))
             for q, row in enumerate(grid_doc)
         )
-        layers.append(KanLayer(rows))
-    return Kan(tuple(layers))
+        layers.append(make_layer(grid))
+    return tuple(layers)
+
+
+def _parse_kan(payload: Any) -> Kan:
+    return Kan(_parse_layers(payload, _parse_pl, KanLayer))
 
 
 def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
@@ -404,25 +409,7 @@ def _parse_spline(doc: Any, where: str) -> PolySegmentSpline:
 
 
 def _parse_spline_kan(payload: Any) -> SplineKan:
-    layers_doc = _need(payload, "layers", list, "payload")
-    layers = []
-    for i, layer_doc in enumerate(layers_doc):
-        where = f"payload.layers[{i}]"
-        n_in = _need(layer_doc, "n_in", int, where)
-        n_out = _need(layer_doc, "n_out", int, where)
-        grid_doc = _need(layer_doc, "activations", list, where)
-        if len(grid_doc) != n_out or any(len(row) != n_in for row in grid_doc):
-            raise ParseError(f"{where}.activations: grid must be n_out rows of n_in entries")
-        layers.append(
-            tuple(
-                tuple(
-                    _parse_spline(act, f"{where}.activations[{q}][{p}]")
-                    for p, act in enumerate(row)
-                )
-                for q, row in enumerate(grid_doc)
-            )
-        )
-    return SplineKan(tuple(layers))
+    return SplineKan(_parse_layers(payload, _parse_spline, tuple))
 
 
 def _parse_monomial(payload: Any) -> MonomialReluNetwork:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .core import Vector, _all_finite, _as_vector, _finite_floats
+from .core import Vector, _affine_params, _all_finite, _as_vector, _finite_floats
 from .errors import ValidationError
 
 MAX_DEGREE = 5
@@ -168,6 +168,22 @@ class SplineKan:
         return v
 
 
+def _affine_bias_first(
+    weight: Sequence[Sequence[float]], bias: Sequence[float], v: Vector
+) -> list[float]:
+    """Row sums ``bias[q] + w[q][0]*v[0] + w[q][1]*v[1] + ...`` in that order.
+
+    Unlike ``MlpLayer.apply`` the bias comes first and every entry is
+    visited; saved spline outputs depend on these exact bits.
+    """
+    out = []
+    for row, acc in zip(weight, bias):
+        for p, w in enumerate(row):
+            acc += w * v[p]
+        out.append(acc)
+    return out
+
+
 @dataclass(frozen=True)
 class MonomialReluBlock:
     """One block: affine map, componentwise relu, then monomial activations.
@@ -182,18 +198,11 @@ class MonomialReluBlock:
     degree: int
 
     def __post_init__(self) -> None:
-        rows = tuple(_finite_floats(row, "weight row") for row in self.weight)
+        rows, bias = _affine_params(self.weight, self.bias)
         object.__setattr__(self, "weight", rows)
-        object.__setattr__(self, "bias", _finite_floats(self.bias, "bias"))
+        object.__setattr__(self, "bias", bias)
         if self.degree < 0 or self.degree > MAX_DEGREE:
             raise ValidationError(f"degree must be between 0 and {MAX_DEGREE}")
-        if not rows or not rows[0]:
-            raise ValidationError("weight matrix must be non-empty")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise ValidationError("weight matrix must be rectangular")
-        if len(self.bias) != len(rows):
-            raise ValidationError("bias length must equal weight row count")
         if len(rows) % (self.degree + 1) != 0:
             raise ValidationError("block width must be a multiple of degree + 1")
 
@@ -212,10 +221,7 @@ class MonomialReluBlock:
     def apply(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.n_in, "MonomialReluBlock input")
         out = []
-        for q in range(self.n_out):
-            acc = self.bias[q]
-            for p, w in enumerate(self.weight[q]):
-                acc += w * v[p]
+        for q, acc in enumerate(_affine_bias_first(self.weight, self.bias, v)):
             acc = acc if acc > 0.0 else 0.0
             power = q % (self.degree + 1)
             out.append(1.0 if power == 0 else acc**power)
@@ -232,13 +238,9 @@ class MonomialReluNetwork:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        rows = tuple(_finite_floats(row, "readout weight row") for row in self.readout_weight)
+        rows, bias = _affine_params(self.readout_weight, self.readout_bias, "readout ")
         object.__setattr__(self, "readout_weight", rows)
-        object.__setattr__(self, "readout_bias", _finite_floats(self.readout_bias, "readout bias"))
-        if not rows or not rows[0]:
-            raise ValidationError("readout weight must be non-empty")
-        if len(self.readout_bias) != len(rows):
-            raise ValidationError("readout bias length must equal its row count")
+        object.__setattr__(self, "readout_bias", bias)
         for a, b in zip(self.blocks, self.blocks[1:]):
             if a.n_out != b.n_in:
                 raise ValidationError("block widths must chain")
@@ -258,13 +260,7 @@ class MonomialReluNetwork:
         v = _as_vector(x, self.input_dim, "MonomialReluNetwork input")
         for block in self.blocks:
             v = block.apply(v)
-        out = []
-        for q in range(self.output_dim):
-            acc = self.readout_bias[q]
-            for p, w in enumerate(self.readout_weight[q]):
-                acc += w * v[p]
-            out.append(acc)
-        return tuple(out)
+        return tuple(_affine_bias_first(self.readout_weight, self.readout_bias, v))
 
 
 def eval_monomial_relu(net: MonomialReluNetwork, x: Sequence[float]) -> Vector:

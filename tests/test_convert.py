@@ -1,5 +1,6 @@
 """Conversion constructions: block lowering, layer assembly, both directions."""
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,6 @@ from kanrelu import (
     kan_layer_to_relu,
     kan_to_mlp,
     mlp_to_kan,
-    pl_to_relu_unit,
 )
 from kanrelu.convert import _merge_affine
 from kanrelu.errors import ValidationError
@@ -32,28 +32,33 @@ def _relu(x):
     return x if x > 0.0 else 0.0
 
 
+def _lower_one(f, mode):
+    """The block of a 1-by-1 KAN layer holding ``f``."""
+    return kan_layer_to_relu(KanLayer(((f,),)), mode)
+
+
 class TestUnitLowering:
     def test_exact_block_structure(self, three_segment_pl):
-        block = pl_to_relu_unit(three_segment_pl, ConversionMode.EXACT)
+        block = _lower_one(three_segment_pl, ConversionMode.EXACT)
+        hidden, out = block.layers
         # hidden pre-activations (x, -x, x+1, x-1); weights (a1, -a1, diffs...)
-        assert block.hidden_width == three_segment_pl.segments + 1
-        assert [row[0] for row in block.w1] == [1.0, -1.0, 1.0, 1.0]
-        assert list(block.b1) == [0.0, 0.0, 1.0, -1.0]
-        assert list(block.w2[0]) == [1.0, -1.0, 1.0, -1.5]
-        assert block.b2 == (0.0,)
-        assert block.valid_lower is None
+        assert block.hidden_widths[0] == three_segment_pl.segments + 1
+        assert [row[0] for row in hidden.weight] == [1.0, -1.0, 1.0, 1.0]
+        assert list(hidden.bias) == [0.0, 0.0, 1.0, -1.0]
+        assert list(out.weight[0]) == [1.0, -1.0, 1.0, -1.5]
+        assert out.bias == (0.0,)
 
     def test_exact_block_matches_closed_form(self, three_segment_pl):
-        block = pl_to_relu_unit(three_segment_pl, ConversionMode.EXACT)
+        block = _lower_one(three_segment_pl, ConversionMode.EXACT)
         for x in (-2.0, 0.0, 2.0):
             expected = _relu(x) - _relu(-x) + 1.0 * _relu(x + 1.0) - 1.5 * _relu(x - 1.0)
-            assert block.apply((x,)) == (expected,)
-            assert block.apply((x,)) == (eval_pl(three_segment_pl, x),)
+            assert block.evaluate((x,)) == (expected,)
+            assert block.evaluate((x,)) == (eval_pl(three_segment_pl, x),)
 
     def test_converting_relu_reproduces_relu(self, relu_pl):
-        block = pl_to_relu_unit(relu_pl, ConversionMode.EXACT)
+        block = _lower_one(relu_pl, ConversionMode.EXACT)
         for x in (-1.0, 0.0, 1.0):
-            assert block.apply((x,)) == (_relu(x),)
+            assert block.evaluate((x,)) == (_relu(x),)
 
     def test_two_breakpoint_symbolic_form(self):
         # slope-difference expansion plus the identity-pair correction
@@ -62,7 +67,7 @@ class TestUnitLowering:
             f = random_pl(rng, segments=3)
             a1, a2, a3 = f.slopes
             b1, b2 = f.breakpoints
-            block = pl_to_relu_unit(f, ConversionMode.EXACT)
+            block = _lower_one(f, ConversionMode.EXACT)
             for x in (-4.0, b1, (b1 + b2) / 2, b2, 4.0):
                 expected = (
                     a1 * (_relu(x) - _relu(-x))
@@ -70,50 +75,50 @@ class TestUnitLowering:
                     + (a3 - a2) * _relu(x - b2)
                     + f.intercept
                 )
-                got = block.apply((x,))[0]
+                got = block.evaluate((x,))[0]
                 assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_paper_block_structure(self, three_segment_pl):
-        block = pl_to_relu_unit(three_segment_pl, ConversionMode.PAPER)
-        assert block.hidden_width == three_segment_pl.segments
-        assert [row[0] for row in block.w1] == [1.0, 1.0, 1.0]
-        assert list(block.b1) == [0.0, 1.0, -1.0]
-        assert list(block.w2[0]) == [1.0, 1.0, -1.5]
-        assert block.valid_lower == 0.0
+        block = _lower_one(three_segment_pl, ConversionMode.PAPER)
+        hidden, out = block.layers
+        assert block.hidden_widths[0] == three_segment_pl.segments
+        assert [row[0] for row in hidden.weight] == [1.0, 1.0, 1.0]
+        assert list(hidden.bias) == [0.0, 1.0, -1.0]
+        assert list(out.weight[0]) == [1.0, 1.0, -1.5]
 
     def test_paper_block_valid_on_nonnegative_inputs(self):
         rng = random.Random(5)
         for _ in range(40):
             f = random_pl(rng, breakpoint_range=(0.0, 3.0))
-            block = pl_to_relu_unit(f, ConversionMode.PAPER)
+            block = _lower_one(f, ConversionMode.PAPER)
             probes = [0.0, 0.5, 1.0, 2.5, 4.0] + [b + 1e-6 for b in f.breakpoints]
             for x in probes:
                 expected = eval_pl(f, x)
-                assert abs(block.apply((x,))[0] - expected) <= 1e-10 * max(1.0, abs(expected))
+                assert abs(block.evaluate((x,))[0] - expected) <= 1e-10 * max(1.0, abs(expected))
 
     def test_provenance_tags(self, three_segment_pl):
-        block = pl_to_relu_unit(three_segment_pl, ConversionMode.EXACT)
-        assert all(t == STRUCTURAL for row in block.w1_tags for t in row)
-        assert list(block.b1_tags) == [STRUCTURAL, STRUCTURAL, FREE, FREE]
-        assert all(t == FREE for t in block.w2_tags[0])
-        assert block.b2_tags == (FREE,)
+        hidden, out = _lower_one(three_segment_pl, ConversionMode.EXACT).layers
+        assert all(t == STRUCTURAL for row in hidden.weight_tags for t in row)
+        assert list(hidden.bias_tags) == [STRUCTURAL, STRUCTURAL, FREE, FREE]
+        assert all(t == FREE for t in out.weight_tags[0])
+        assert out.bias_tags == (FREE,)
 
 
 class TestLayerLowering:
     def test_two_input_sum(self, identity_pl):
         layer = KanLayer(((identity_pl, identity_pl),))
         block = kan_layer_to_relu(layer, ConversionMode.EXACT)
-        assert block.apply((1.5, -0.5)) == (1.0,)
+        assert block.evaluate((1.5, -0.5)) == (1.0,)
 
     def test_one_to_two_layer(self, three_segment_pl, relu_pl):
         layer = KanLayer(((three_segment_pl,), (relu_pl,)))
         block = kan_layer_to_relu(layer, ConversionMode.EXACT)
-        assert block.apply((2.0,)) == (3.5, 2.0)
+        assert block.evaluate((2.0,)) == (3.5, 2.0)
 
     def test_exact_width_law(self, three_segment_pl):
         grid = ((three_segment_pl, three_segment_pl), (three_segment_pl, three_segment_pl))
         layer = KanLayer(grid)
-        assert kan_layer_to_relu(layer, ConversionMode.EXACT).hidden_width == 12
+        assert kan_layer_to_relu(layer, ConversionMode.EXACT).hidden_widths[0] == 12
 
     @pytest.mark.parametrize("mode", [ConversionMode.EXACT, ConversionMode.PAPER])
     def test_width_laws_random(self, mode):
@@ -124,16 +129,16 @@ class TestLayerLowering:
             block = kan_layer_to_relu(layer, mode)
             segs = [act.segments for row in layer.activations for act in row]
             if mode is ConversionMode.EXACT:
-                assert block.hidden_width == 2 * layer.n_in + sum(s - 1 for s in segs)
+                assert block.hidden_widths[0] == 2 * layer.n_in + sum(s - 1 for s in segs)
             else:
-                assert block.hidden_width == sum(segs)
+                assert block.hidden_widths[0] == sum(segs)
 
     def test_each_hidden_unit_reads_one_input(self):
         rng = random.Random(17)
         layer = random_kan(rng, max_depth=1).layers[0]
         for mode in ConversionMode:
             block = kan_layer_to_relu(layer, mode)
-            for row in block.w1:
+            for row in block.layers[0].weight:
                 assert sum(1 for v in row if v != 0.0) == 1
 
     def test_layer_map_agrees_on_grid(self):
@@ -145,9 +150,19 @@ class TestLayerLowering:
             for _ in range(20):
                 x = tuple(rng.uniform(-4, 4) for _ in range(layer.n_in))
                 want = layer.apply(x)
-                got = block.apply(x)
+                got = block.evaluate(x)
                 for w, g in zip(want, got):
                     assert abs(w - g) <= 1e-10 * max(1.0, abs(w))
+
+    @pytest.mark.parametrize("mode", list(ConversionMode))
+    def test_block_is_the_one_layer_conversion(self, mode):
+        # a one-layer KAN converts to exactly its block, up to source_params
+        rng = random.Random(19)
+        for _ in range(10):
+            layer = random_kan(rng, max_depth=1).layers[0]
+            mlp = kan_to_mlp(Kan((layer,)), mode)
+            cleared = Mlp(tuple(replace(lay, source_params=None) for lay in mlp.layers))
+            assert repr(kan_layer_to_relu(layer, mode)) == repr(cleared)
 
 
 class TestKanToMlp:
@@ -398,8 +413,9 @@ class TestFoldMatchesDenseReference:
             kan = random_kan(rng, max_depth=3) if i % 2 else _coarse_kan(rng)
             blocks = [kan_layer_to_relu(layer, mode) for layer in kan.layers]
             for prev, cur in zip(blocks, blocks[1:]):
-                args = (cur.w1, cur.w1_tags, cur.b1, cur.b1_tags,
-                        prev.w2, prev.w2_tags, prev.b2, prev.b2_tags)
+                nxt, out = cur.layers[0], prev.layers[1]
+                args = (nxt.weight, nxt.weight_tags, nxt.bias, nxt.bias_tags,
+                        out.weight, out.weight_tags, out.bias, out.bias_tags)
                 got = _merge_affine(*args)
                 want = _merge_affine_dense(*args)
                 assert got == want

@@ -256,6 +256,17 @@ class TestValidationOnLoad:
         with pytest.raises(ValidationError, match="increasing"):
             loads_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("weight", [[[1, 2], [3]], [[1, 2], [3, 4, 5]]], ids=["short", "long"])
+    def test_ragged_monomial_readout_rejected(self, weight, tmp_path):
+        doc = {"kind": "monomial_relu", "version": "1", "metadata": {},
+               "payload": {"blocks": [], "readout": {"weight": weight, "bias": [0, 0]}}}
+        with pytest.raises(ValidationError, match="rectangular"):
+            loads_model(json.dumps(doc))
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["eval", path, "--input", "1,1"])
+        assert (code, out) == (1, "")
+
 
 class TestCliExitCodes:
     def test_convert_then_verify_succeeds(self, tmp_path):
