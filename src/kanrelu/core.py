@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ShapeError, ValidationError
 
 Vector = tuple[float, ...]
+# (rows of (column, weight) pairs to sum, index of each output row's sum in them)
+SummationRows = tuple[tuple[tuple[tuple[int, float], ...], ...], Sequence[int]]
 
 
 def _finite_floats(values: Iterable[float], name: str) -> tuple[float, ...]:
@@ -270,40 +272,49 @@ class MlpLayer:
         return len(self.weight)
 
     @cached_property
-    def nonzero_rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per row, the ``(column, weight)`` pairs whose weight is not ``±0.0``, columns ascending.
+    def nonzero_rows(self) -> SummationRows:
+        """The distinct rows of nonzero weights, and each output row's index into them.
 
-        A view derived from ``weight`` on first use, so building, counting
-        and saving a layer never pay for it.
+        Each distinct row holds the ``(column, weight)`` pairs whose weight
+        is not ``±0.0``, columns ascending, in first-seen row order.  Rows
+        that differ only in ``±0.0`` entries share one distinct row; their
+        biases may differ.  A view derived from ``weight`` on first use, so
+        building, counting and saving a layer never pay for it.
         """
-        return tuple(
-            tuple((p, w) for p, w in enumerate(row) if w != 0.0) for row in self.weight
+        distinct: dict[tuple[tuple[int, float], ...], int] = {}
+        index = tuple(
+            distinct.setdefault(tuple((p, w) for p, w in enumerate(row) if w != 0.0), len(distinct))
+            for row in self.weight
         )
+        return tuple(distinct), index
 
-    def summation_rows(self, finite_input: bool) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """The ``(column, weight)`` pairs a row sum must visit, columns ascending.
+    def summation_rows(self, finite_input: bool) -> SummationRows:
+        """The rows a layer sum must visit, and each output row's index into them.
 
         A sum that starts at ``+0.0`` is never ``-0.0``, so adding a skipped
         ``0.0 * x`` term (``±0.0`` for finite ``x``) would leave it unchanged:
         over finite inputs the nonzero entries give the dense sum bit for
-        bit.  ``0.0 * inf`` is NaN, so a non-finite input visits every entry.
+        bit, and rows with equal nonzero entries give equal sums, so each
+        distinct row is summed once.  ``0.0 * inf`` is NaN, so a non-finite
+        input visits every entry of every row.
         """
         if finite_input:
             return self.nonzero_rows
-        return tuple(tuple(enumerate(row)) for row in self.weight)
+        return tuple(tuple(enumerate(row)) for row in self.weight), range(self.n_out)
 
     def apply(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.n_in, "MlpLayer input")
-        relu = self.activation is Activation.RELU
-        out = []
-        for row, bias in zip(self.summation_rows(_all_finite(v)), self.bias):
+        rows, index = self.summation_rows(_all_finite(v))
+        sums = []
+        for row in rows:
             acc = 0.0
             for p, w in row:
                 acc += w * v[p]
-            acc += bias
-            if relu:
-                acc = acc if acc > 0.0 else 0.0
-            out.append(acc)
+            sums.append(acc)
+        # the bias goes last, after the shared row sum, as in the dense loop
+        out = [sums[i] + bias for i, bias in zip(index, self.bias)]
+        if self.activation is Activation.RELU:
+            return tuple([y if y > 0.0 else 0.0 for y in out])
         return tuple(out)
 
 

@@ -209,7 +209,8 @@ def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
 
     Passes only when both normalized complexes have matching cut sets
     (paired within 1e-9) and per-piece affine coefficients within ``tol``
-    under the combined absolute/relative metric.
+    under the combined absolute/relative metric.  A non-finite coefficient
+    on either side fails with infinite errors.
     """
     ca = exact_regions_1d(a)
     cb = exact_regions_1d(b)
@@ -229,7 +230,11 @@ def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
         for va, vb in zip(pa.slopes + pa.intercepts, pb.slopes + pb.intercepts):
             compared += 1
             abs_err = abs(va - vb)
-            rel_err = abs_err / max(1.0, abs(va), abs(vb))
+            if math.isfinite(abs_err):
+                rel_err = abs_err / max(1.0, abs(va), abs(vb))
+            else:
+                # an inf or nan coefficient must fail, as in assert_equiv
+                abs_err = rel_err = math.inf
             max_abs = max(max_abs, abs_err)
             piece_rel = max(piece_rel, rel_err)
         if piece_rel > max_rel:

@@ -80,7 +80,9 @@ class Complex1D:
 
 
 def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    # an infinite bound would make inf "close" to every number, so a number
+    # is never close to an inf or a NaN, not even to itself
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b)) < math.inf
 
 
 def _midpoint(cuts: Sequence[float], index: int) -> float:
@@ -168,18 +170,22 @@ def _apply_grid(cuts: list[float], forms: list[Forms], grid) -> tuple[list[float
 
 
 def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
-    rows = layer.summation_rows(_all_finite(chain.from_iterable(chain.from_iterable(forms))))
+    rows, index = layer.summation_rows(
+        _all_finite(chain.from_iterable(chain.from_iterable(forms)))
+    )
     new_forms = []
     for interval_forms in forms:
-        out: Forms = []
-        for row, bias in zip(rows, layer.bias):
+        sums = []
+        for row in rows:
             acc_a = acc_b = 0.0
             for p, w in row:
                 a, b = interval_forms[p]
                 acc_a += w * a
                 acc_b += w * b
-            out.append((acc_a, acc_b + bias))
-        new_forms.append(out)
+            sums.append((acc_a, acc_b))
+        new_forms.append(
+            [(a, b + bias) for (a, b), bias in zip(map(sums.__getitem__, index), layer.bias)]
+        )
     return new_forms
 
 

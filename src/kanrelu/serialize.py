@@ -326,7 +326,9 @@ def _parse_layers(payload: Any, parse_act, make_layer) -> tuple:
         n_in = _need(layer_doc, "n_in", int, where)
         n_out = _need(layer_doc, "n_out", int, where)
         grid_doc = _need(layer_doc, "activations", list, where)
-        if len(grid_doc) != n_out or any(len(row) != n_in for row in grid_doc):
+        if len(grid_doc) != n_out or any(
+            not isinstance(row, list) or len(row) != n_in for row in grid_doc
+        ):
             raise ParseError(f"{where}.activations: grid must be n_out rows of n_in entries")
         grid = tuple(
             tuple(parse_act(act, f"{where}.activations[{q}][{p}]") for p, act in enumerate(row))

@@ -164,6 +164,24 @@ class TestExact1D:
             assert report.worst_point == (witness,)
             assert report.samples == 0
 
+    @pytest.mark.parametrize("other_weights", [(1.0, 0.0), (1.0, 1.0), (1e200, 1e200)])
+    def test_overflowed_coefficients_fail(self, other_weights):
+        # relu(1e200 * x) * 1e200 is +inf for x > 0.  Normalisation must not
+        # merge the inf piece into its zero neighbour, and an inf coefficient
+        # gives inf/inf = nan as a relative error, which never exceeds the max
+        def net(w1, w2):
+            return Mlp((
+                MlpLayer(((w1,),), (0.0,), Activation.RELU),
+                MlpLayer(((w2,),), (0.0,), Activation.IDENTITY),
+            ))
+
+        big = net(1e200, 1e200)
+        other = net(*other_weights)
+        for a, b in ((big, other), (other, big)):
+            report = equiv_exact_1d(a, b, tol=1e-9)
+            assert not report.passed
+            assert report.max_abs_error == report.max_rel_error == float("inf")
+
     def test_exact_pass_implies_sampled_pass(self):
         rng = random.Random(13)
         for _ in range(25):

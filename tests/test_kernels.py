@@ -2,9 +2,9 @@
 
 The reference loops below are the dense versions of ``MlpLayer.apply``,
 ``regions._apply_affine`` and ``SplineKan.evaluate``: they visit every entry
-in ascending index order.  The kernels skip zero weights and constant-zero
-activations, which must not change a single output bit, including on
-infinite and NaN inputs.
+in ascending index order.  The kernels skip zero weights, sum each distinct
+row of a layer once and skip constant-zero activations, which must not
+change a single output bit, including on infinite and NaN inputs.
 """
 import math
 import random
@@ -100,13 +100,18 @@ def _layers(draw):
     n_out = draw(st.integers(1, 6))
     zero_rows = draw(st.sets(st.integers(0, n_out - 1)))
     zero_cols = draw(st.sets(st.integers(0, n_in - 1)))
-    weight = tuple(
-        tuple(
+    weight = [
+        [
             draw(st.sampled_from([0.0, -0.0])) if q in zero_rows or p in zero_cols else draw(_WEIGHTS)
             for p in range(n_in)
-        )
+        ]
         for q in range(n_out)
-    )
+    ]
+    # copied rows share one sum in the grouped view; a copy may flip the
+    # sign of its zeros, and every row draws its own bias
+    rows = st.integers(0, n_out - 1)
+    for q, src, flip_zeros in draw(st.lists(st.tuples(rows, rows, st.booleans()), max_size=n_out)):
+        weight[q] = [-w if flip_zeros and w == 0.0 else w for w in weight[src]]
     bias = tuple(draw(_WEIGHTS) for _ in range(n_out))
     activation = draw(st.sampled_from([Activation.RELU, Activation.IDENTITY]))
     layer = MlpLayer(weight, bias, activation)
@@ -131,7 +136,26 @@ class TestMlpLayerApply:
 
     def test_nonzero_rows_skip_both_zeros(self):
         layer = MlpLayer(((0.0, -0.0, 2.0), (-1.0, 0.0, 0.5)), (0.0, 0.0), Activation.RELU)
-        assert layer.nonzero_rows == (((2, 2.0),), ((0, -1.0), (2, 0.5)))
+        assert layer.nonzero_rows == ((((2, 2.0),), ((0, -1.0), (2, 0.5))), (0, 1))
+
+    def test_rows_equal_up_to_signed_zeros_share_one_sum(self):
+        weight = (
+            (1.5, 0.0, -2.0),
+            (0.0, 0.0, 0.0),
+            (1.5, -0.0, -2.0),
+            (-0.0, -0.0, 0.0),
+            (1.5, 0.0, 2.0),
+            (1.5, 0.0, -2.0),
+            (0.0, 1.5, -2.0),
+        )
+        layer = MlpLayer(weight, (0.0, 1.0, -3.0, -0.0, 0.25, 1e-300, 0.0), Activation.IDENTITY)
+        distinct, index = layer.nonzero_rows
+        assert distinct == (
+            ((0, 1.5), (2, -2.0)), (), ((0, 1.5), (2, 2.0)), ((1, 1.5), (2, -2.0))
+        )
+        assert index == (0, 1, 0, 1, 2, 0, 3)
+        for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0), (INF, 0.0, 1.0)]:
+            assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
 
     def test_row_view_is_built_on_first_use_only(self, tmp_path):
         kan = random_kan(random.Random(5), input_dim=2, output_dim=1, max_width=3)
@@ -156,6 +180,26 @@ class TestMlpLayerApply:
             for layer in mlp.layers:
                 v = dense_apply(layer, v)
             assert bits(mlp.evaluate(x)) == bits(v)
+
+
+@st.composite
+def _layers_and_forms(draw):
+    layer, _ = draw(_layers())
+    form = st.tuples(_INPUTS, _INPUTS)
+    intervals = st.lists(st.lists(form, min_size=layer.n_in, max_size=layer.n_in), min_size=1, max_size=3)
+    return layer, draw(intervals)
+
+
+def _form_bits(forms):
+    return [bits(v for form in interval_forms for v in form) for interval_forms in forms]
+
+
+class TestApplyAffine:
+    @given(_layers_and_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_loop_bit_for_bit(self, case):
+        layer, forms = case
+        assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
 
 
 def _dense_regions(net, normalize):

@@ -11,9 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanrelu import (
+    Activation,
     ConversionMode,
     Kan,
     KanLayer,
+    Mlp,
+    MlpLayer,
     ParseError,
     PiecewiseLinear,
     ValidationError,
@@ -267,6 +270,18 @@ class TestValidationOnLoad:
         code, out, _ = run_cli(["eval", path, "--input", "1,1"])
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
+    def test_grid_row_must_be_a_list(self, kind, tmp_path):
+        doc = {"kind": kind, "version": "1", "metadata": {},
+               "payload": {"layers": [{"n_in": 1, "n_out": 1, "activations": [5]}]}}
+        with pytest.raises(ParseError, match="grid must be n_out rows of n_in entries"):
+            loads_model(json.dumps(doc))
+        path = tmp_path / "bad_grid.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out) == (1, "")
+        assert "activations" in err
+
 
 class TestCliExitCodes:
     def test_convert_then_verify_succeeds(self, tmp_path):
@@ -333,6 +348,28 @@ class TestCliExitCodes:
         report = json.loads(out)
         assert report["max_abs_error"] is None and report["max_rel_error"] is None
         assert report["passed"] is False
+
+    def test_overflowed_network_is_not_certified(self, tmp_path):
+        # big(x) = relu(1e200 * x) * 1e200 is +inf for every x > 0
+        def net(w1, w2):
+            return Mlp((
+                MlpLayer(((w1,),), (0.0,), Activation.RELU),
+                MlpLayer(((w2,),), (0.0,), Activation.IDENTITY),
+            ))
+
+        save(net(1e200, 1e200), tmp_path / "big.json")
+        save(net(1.0, 0.0), tmp_path / "zero.json")
+        for pair in (("big", "zero"), ("zero", "big")):
+            paths = [tmp_path / f"{name}.json" for name in pair]
+            for extra in ([], ["--exact-1d"]):
+                code, out, err = run_cli(["verify", *paths, *extra, "--json"])
+                assert code == 1, err
+                assert json.loads(out)["passed"] is False
+        # the complex has an inf slope, which a model document cannot hold
+        code, out, err = run_cli(["regions", tmp_path / "big.json", "--out", tmp_path / "c.json"])
+        assert (code, out) == (1, "")
+        assert "non-finite" in err
+        assert not (tmp_path / "c.json").exists()
 
     def test_verify_sixteen_input_kan_against_its_mlp(self, tmp_path):
         # Halton bases used to stop at 12 primes, so verify raised above 12 inputs
