@@ -15,6 +15,7 @@ from .core import (
     Mlp,
     MlpLayer,
     PiecewiseLinear,
+    PolySegmentSpline,
     eval_kan,
     eval_mlp,
     eval_pl,
@@ -58,7 +59,6 @@ from .serialize import dumps_model, load, loads_model, save
 from .splines import (
     MonomialReluBlock,
     MonomialReluNetwork,
-    PolySegmentSpline,
     SplineKan,
     bspline_from_knots,
     bspline_to_monomial_relu,

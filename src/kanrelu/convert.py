@@ -17,11 +17,8 @@ from dataclasses import replace
 from enum import Enum
 from typing import Sequence
 
-from .core import Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear
+from .core import FREE, STRUCTURAL, Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear
 from .errors import ValidationError
-
-STRUCTURAL = "structural"
-FREE = "free"
 
 
 class ConversionMode(str, Enum):

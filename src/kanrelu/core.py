@@ -1,4 +1,4 @@
-"""Core model types: piecewise linear functions, KANs and ReLU MLPs.
+"""Core model types: piecewise linear and spline functions, KANs and ReLU MLPs.
 
 All types are immutable value objects.  Evaluation is pure, uses 64-bit
 floats throughout, and sums contributions in ascending input index order so
@@ -7,16 +7,27 @@ results are bit-reproducible.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import DomainError, ShapeError, ValidationError
 
 Vector = tuple[float, ...]
 # (rows of (column, weight) pairs to sum, index of each output row's sum in them)
 SummationRows = tuple[tuple[tuple[tuple[int, float], ...], ...], Sequence[int]]
+
+# provenance tags of MLP entries
+STRUCTURAL = "structural"
+FREE = "free"
+_TAGS = frozenset((STRUCTURAL, FREE))
+
+MAX_DEGREE = 5
+CONTINUITY_REL_TOL = 1e-9
 
 
 def _finite_floats(values: Iterable[float], name: str) -> tuple[float, ...]:
@@ -46,6 +57,15 @@ def _affine_params(
     if len(bias) != len(rows):
         raise ValidationError(f"{prefix}bias length must equal weight row count")
     return rows, bias
+
+
+def _check_tags(rows: Iterable[Iterable[str]], name: str) -> None:
+    try:
+        ok = _TAGS.issuperset(chain.from_iterable(rows))
+    except TypeError:  # an unhashable entry is no tag either
+        ok = False
+    if not ok:
+        raise ValidationError(f"{name} must be {STRUCTURAL!r} or {FREE!r}")
 
 
 def _all_finite(values: Iterable[float]) -> bool:
@@ -99,26 +119,38 @@ class PiecewiseLinear:
             out.append(out[i] + (self.slopes[i] - self.slopes[i + 1]) * b)
         return tuple(out)
 
-    def __call__(self, x: float) -> float:
-        return eval_pl(self, x)
+    @property
+    def is_zero(self) -> bool:
+        """True when every slope and the intercept are ``±0.0`` and no ``x - b``
+        overflows (``0.0 * inf`` is NaN): ``±0.0`` at every finite input."""
+        return (
+            not any(self.slopes)
+            and self.intercept == 0.0
+            and (not self.breakpoints or math.isfinite(sys.float_info.max - self.breakpoints[0]))
+        )
+
+    def evaluate(self, x: float) -> float:
+        """The function at ``x``, in the running-sum form.
+
+        Slope-change terms activate once a breakpoint is reached (breakpoint
+        values count toward the right segment).
+        """
+        x = float(x)
+        if not math.isfinite(x):
+            raise DomainError(f"x must be finite, got {x!r}")
+        slopes = self.slopes
+        y = slopes[0] * x + self.intercept
+        for i, b in enumerate(self.breakpoints):
+            if b <= x:
+                y += (slopes[i + 1] - slopes[i]) * (x - b)
+            else:
+                break
+        return y
+
+    __call__ = evaluate
 
 
-def eval_pl(f: PiecewiseLinear, x: float) -> float:
-    """Evaluate a piecewise linear function at ``x``.
-
-    Uses the running-sum form: slope-change terms activate once a breakpoint
-    is reached (breakpoint values count toward the right segment).
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    y = f.slopes[0] * x + f.intercept
-    for i, b in enumerate(f.breakpoints):
-        if b <= x:
-            y += (f.slopes[i + 1] - f.slopes[i]) * (x - b)
-        else:
-            break
-    return y
+eval_pl = PiecewiseLinear.evaluate  # eval_pl(f, x) is f.evaluate(x)
 
 
 def normalize_pl(f: PiecewiseLinear, tol: float = 0.0) -> PiecewiseLinear:
@@ -137,27 +169,96 @@ def normalize_pl(f: PiecewiseLinear, tol: float = 0.0) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(breakpoints), tuple(slopes), f.intercept)
 
 
+def poly_eval(coeffs: Sequence[float], x: float) -> float:
+    """Evaluate a polynomial given ascending-power coefficients."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _check_int(value, name: str) -> None:
+    # bool is an int subclass, but a model file cannot hold one here
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class PolySegmentSpline:
+    """Univariate continuous spline stored as per-piece monomial coefficients.
+
+    Piece i applies on [breakpoints[i-1], breakpoints[i]); breakpoint values
+    belong to the piece on their right.  The end pieces extend their
+    polynomials to the whole line.
+    """
+
+    breakpoints: tuple[float, ...]
+    piece_coeffs: tuple[tuple[float, ...], ...]
+    degree_bound: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "breakpoints", _finite_floats(self.breakpoints, "breakpoints"))
+        pieces = tuple(_finite_floats(c, "piece coefficients") for c in self.piece_coeffs)
+        object.__setattr__(self, "piece_coeffs", pieces)
+        _check_int(self.degree_bound, "degree bound")
+        if self.degree_bound < 0 or self.degree_bound > MAX_DEGREE:
+            raise ValidationError(f"degree bound must be between 0 and {MAX_DEGREE}")
+        if len(pieces) != len(self.breakpoints) + 1:
+            raise ValidationError("piece count must be breakpoint count + 1")
+        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
+            if not a < b:
+                raise ValidationError("breakpoints must be strictly increasing")
+        for coeffs in pieces:
+            if not coeffs:
+                raise ValidationError("each piece needs at least one coefficient")
+            if len(coeffs) > self.degree_bound + 1:
+                raise ValidationError("piece degree exceeds the spline's degree bound")
+        for i, b in enumerate(self.breakpoints):
+            # rounding grows with the terms |c_j| |b|^j, not with their sum;
+            # summed in Horner's form, as ``**`` can raise OverflowError
+            size = sum(poly_eval([abs(c) for c in pieces[k]], abs(b)) for k in (i, i + 1))
+            if abs(poly_eval(pieces[i], b) - poly_eval(pieces[i + 1], b)) > CONTINUITY_REL_TOL * max(1.0, size):
+                raise ValidationError(f"spline is discontinuous at breakpoint {b!r}")
+
+    @property
+    def pieces(self) -> int:
+        return len(self.piece_coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        """True when every coefficient is ``±0.0``: ``±0.0`` at every finite input."""
+        return not any(map(any, self.piece_coeffs))
+
+    def evaluate(self, x: float) -> float:
+        idx = bisect_right(self.breakpoints, x)
+        return poly_eval(self.piece_coeffs[idx], x)
+
+    __call__ = evaluate
+
+
 @dataclass(frozen=True)
 class KanLayer:
     """One KAN layer: an n_out-by-n_in grid of univariate activations.
 
     Output coordinate q is the sum over inputs p of activations[q][p](x_p).
+    The activations are all ``PiecewiseLinear`` or all ``PolySegmentSpline``.
     """
 
-    activations: tuple[tuple[PiecewiseLinear, ...], ...]
+    activations: tuple[tuple[PiecewiseLinear | PolySegmentSpline, ...], ...]
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.activations)
         object.__setattr__(self, "activations", rows)
         if not rows or not rows[0]:
             raise ValidationError("layer must have at least one input and one output")
+        kind = PolySegmentSpline if isinstance(rows[0][0], PolySegmentSpline) else PiecewiseLinear
         width = len(rows[0])
         for row in rows:
             if len(row) != width:
                 raise ValidationError("activation grid must be rectangular")
             for act in row:
-                if not isinstance(act, PiecewiseLinear):
-                    raise ValidationError("activations must be PiecewiseLinear instances")
+                if not isinstance(act, kind):
+                    raise ValidationError("activations must be all PiecewiseLinear or all PolySegmentSpline")
 
     @property
     def n_in(self) -> int:
@@ -167,32 +268,48 @@ class KanLayer:
     def n_out(self) -> int:
         return len(self.activations)
 
-    def apply(self, x: Sequence[float]) -> Vector:
-        v = _as_vector(x, self.n_in, "KanLayer input")
+    @cached_property
+    def live_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the ascending columns whose activation is not ``is_zero``; built on first use."""
         return tuple(
-            _sum_row(row, v) for row in self.activations
+            tuple(p for p, act in enumerate(row) if not act.is_zero) for row in self.activations
         )
 
+    def apply(self, x: Sequence[float]) -> Vector:
+        """Row sums in ascending column order, each started at ``+0.0``.
 
-def _sum_row(row: Sequence[PiecewiseLinear], v: Vector) -> float:
-    # fixed ascending-index summation for reproducibility
-    total = 0.0
-    for p, act in enumerate(row):
-        total += eval_pl(act, v[p])
-    return total
+        Such a sum is never ``-0.0``, so adding the ``±0.0`` of a zero
+        activation at a finite input would not change it: only
+        ``live_columns`` are visited.  A non-finite input visits every
+        activation, where a PL one raises ``DomainError`` and a spline gives NaN.
+        """
+        v = _as_vector(x, self.n_in, "KanLayer input")
+        columns = self.live_columns if _all_finite(v) else (range(self.n_in),) * self.n_out
+        out = []
+        for row, live in zip(self.activations, columns):
+            acc = 0.0
+            for p in live:
+                acc += row[p].evaluate(v[p])
+            out.append(acc)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
-class Kan:
-    """A KAN: a chain of KAN layers applied left to right."""
+class _KanChain:
+    """A chain of KAN layers applied left to right, all of ``activation_type``."""
 
     layers: tuple[KanLayer, ...]
+    activation_type: ClassVar[type] = PiecewiseLinear
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
+        name, kind = type(self).__name__, self.activation_type
         if not layers:
-            raise ValidationError("a KAN needs at least one layer")
+            raise ValidationError(f"a {name} needs at least one layer")
+        for layer in layers:
+            if not isinstance(layer, KanLayer) or not isinstance(layer.activations[0][0], kind):
+                raise ValidationError(f"{name} layers must be KanLayers of {kind.__name__} activations")
         for a, b in zip(layers, layers[1:]):
             if a.n_out != b.n_in:
                 raise ValidationError(
@@ -210,6 +327,11 @@ class Kan:
     @property
     def widths(self) -> tuple[int, ...]:
         return (self.layers[0].n_in,) + tuple(layer.n_out for layer in self.layers)
+
+
+@dataclass(frozen=True)
+class Kan(_KanChain):
+    """A KAN: a chain of ``PiecewiseLinear`` KAN layers applied left to right."""
 
     def max_segments(self) -> int:
         return max(act.segments for layer in self.layers for row in layer.activations for act in row)
@@ -258,10 +380,15 @@ class MlpLayer:
             object.__setattr__(self, "weight_tags", tags)
             if len(tags) != len(rows) or any(len(t) != width for t in tags):
                 raise ValidationError("weight_tags must match weight shape")
+            # converted layers repeat tag rows, so each row object is checked once
+            _check_tags({id(t): t for t in tags}.values(), "weight_tags")
         if self.bias_tags is not None:
             object.__setattr__(self, "bias_tags", tuple(self.bias_tags))
             if len(self.bias_tags) != len(self.bias):
                 raise ValidationError("bias_tags must match bias length")
+            _check_tags((self.bias_tags,), "bias_tags")
+        if self.source_params is not None:
+            _check_int(self.source_params, "source_params")
 
     @property
     def n_in(self) -> int:

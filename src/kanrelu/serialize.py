@@ -11,10 +11,9 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .convert import FREE, STRUCTURAL
-from .core import Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear
+from .core import FREE, STRUCTURAL, Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear, PolySegmentSpline
 from .errors import ParseError, ValidationError
-from .splines import MonomialReluBlock, MonomialReluNetwork, PolySegmentSpline, SplineKan
+from .splines import MonomialReluBlock, MonomialReluNetwork, SplineKan
 
 FORMAT_VERSION = "1"
 KINDS = ("kan", "mlp", "bspline_kan", "monomial_relu")
@@ -156,6 +155,14 @@ def _pl_to_dict(act: PiecewiseLinear) -> dict:
     }
 
 
+def _spline_to_dict(act: PolySegmentSpline) -> dict:
+    return {
+        "breakpoints": list(act.breakpoints),
+        "pieces": [list(c) for c in act.piece_coeffs],
+        "degree": act.degree_bound,
+    }
+
+
 def _mlp_layer_to_dict(layer: MlpLayer, sparse: bool) -> dict:
     doc: dict[str, Any] = {}
     if sparse:
@@ -186,15 +193,15 @@ def _mlp_layer_to_dict(layer: MlpLayer, sparse: bool) -> dict:
 
 
 def model_to_dict(model, sparse: bool = False, metadata: dict[str, str] | None = None) -> dict:
-    if isinstance(model, Kan):
-        kind = "kan"
+    if isinstance(model, (Kan, SplineKan)):
+        kind, act_to_dict = ("kan", _pl_to_dict) if isinstance(model, Kan) else ("bspline_kan", _spline_to_dict)
         # one dict per distinct activation object; the model keeps the ids live
         act_docs: dict[int, dict] = {}
         for layer in model.layers:
             for row in layer.activations:
                 for act in row:
                     if id(act) not in act_docs:
-                        act_docs[id(act)] = _pl_to_dict(act)
+                        act_docs[id(act)] = act_to_dict(act)
         payload = {
             "layers": [
                 {
@@ -208,28 +215,6 @@ def model_to_dict(model, sparse: bool = False, metadata: dict[str, str] | None =
     elif isinstance(model, Mlp):
         kind = "mlp"
         payload = {"layers": [_mlp_layer_to_dict(layer, sparse) for layer in model.layers]}
-    elif isinstance(model, SplineKan):
-        kind = "bspline_kan"
-        payload = {
-            "layers": [
-                {
-                    "n_in": len(grid[0]),
-                    "n_out": len(grid),
-                    "activations": [
-                        [
-                            {
-                                "breakpoints": list(act.breakpoints),
-                                "pieces": [list(c) for c in act.piece_coeffs],
-                                "degree": act.degree_bound,
-                            }
-                            for act in row
-                        ]
-                        for row in grid
-                    ],
-                }
-                for grid in model.layers
-            ]
-        }
     elif isinstance(model, MonomialReluNetwork):
         kind = "monomial_relu"
         payload = {
@@ -301,11 +286,9 @@ def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
 
 
 def _tags(values: Any, where: str):
+    # MlpLayer checks each tag's value
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list")
-    for i, v in enumerate(values):
-        if v not in (STRUCTURAL, FREE):
-            raise ParseError(f"{where}[{i}]: tags must be {STRUCTURAL!r} or {FREE!r}")
     return tuple(values)
 
 
@@ -317,9 +300,9 @@ def _parse_pl(doc: Any, where: str) -> PiecewiseLinear:
     )
 
 
-def _parse_layers(payload: Any, parse_act, make_layer) -> tuple:
-    """Each KAN layer, built by ``make_layer`` from its activation grid as
-    soon as every entry of the grid is read by ``parse_act``."""
+def _parse_layers(payload: Any, parse_act) -> tuple[KanLayer, ...]:
+    """Each KAN layer, built as soon as every entry of its activation grid
+    is read by ``parse_act``."""
     layers = []
     for i, layer_doc in enumerate(_need(payload, "layers", list, "payload")):
         where = f"payload.layers[{i}]"
@@ -334,12 +317,12 @@ def _parse_layers(payload: Any, parse_act, make_layer) -> tuple:
             tuple(parse_act(act, f"{where}.activations[{q}][{p}]") for p, act in enumerate(row))
             for q, row in enumerate(grid_doc)
         )
-        layers.append(make_layer(grid))
+        layers.append(KanLayer(grid))
     return tuple(layers)
 
 
 def _parse_kan(payload: Any) -> Kan:
-    return Kan(_parse_layers(payload, _parse_pl, KanLayer))
+    return Kan(_parse_layers(payload, _parse_pl))
 
 
 def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
@@ -411,7 +394,7 @@ def _parse_spline(doc: Any, where: str) -> PolySegmentSpline:
 
 
 def _parse_spline_kan(payload: Any) -> SplineKan:
-    return SplineKan(_parse_layers(payload, _parse_spline, tuple))
+    return SplineKan(_parse_layers(payload, _parse_spline))
 
 
 def _parse_monomial(payload: Any) -> MonomialReluNetwork:

@@ -1,4 +1,4 @@
-"""Piecewise polynomial spline activations and their ReLU/monomial lowering.
+"""Spline KANs, and the ReLU/monomial lowering of spline activations.
 
 A spline with pieces P_1..P_k and breakpoints b_1..b_{k-1} equals the sum
 P_1(x) + sum_i (P_{i+1}^{b_i} - P_i^{b_i})(relu(x - b_i)) where P^b denotes
@@ -12,24 +12,14 @@ becomes the constant 1).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
-from .core import Vector, _affine_params, _all_finite, _as_vector, _finite_floats
+# the spline type and its helpers live in core, which names them in KanLayer;
+# they stay importable from here
+from .core import CONTINUITY_REL_TOL, MAX_DEGREE, PolySegmentSpline, poly_eval  # noqa: F401
+from .core import KanLayer, Vector, _affine_params, _as_vector, _check_int, _KanChain
 from .errors import ValidationError
-
-MAX_DEGREE = 5
-CONTINUITY_REL_TOL = 1e-9
-
-
-def poly_eval(coeffs: Sequence[float], x: float) -> float:
-    """Evaluate a polynomial given ascending-power coefficients."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def shift_poly(coeffs: Sequence[float], b: float) -> tuple[float, ...]:
@@ -57,114 +47,15 @@ def _poly_sub(a: Sequence[float], b: Sequence[float]) -> tuple[float, ...]:
 
 
 @dataclass(frozen=True)
-class PolySegmentSpline:
-    """Univariate continuous spline stored as per-piece monomial coefficients.
+class SplineKan(_KanChain):
+    """KAN whose activations are splines: a chain of ``PolySegmentSpline`` KAN layers."""
 
-    Piece i applies on [breakpoints[i-1], breakpoints[i]); breakpoint values
-    belong to the piece on their right.  The end pieces extend their
-    polynomials to the whole line.
-    """
-
-    breakpoints: tuple[float, ...]
-    piece_coeffs: tuple[tuple[float, ...], ...]
-    degree_bound: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "breakpoints", _finite_floats(self.breakpoints, "breakpoints"))
-        pieces = tuple(_finite_floats(c, "piece coefficients") for c in self.piece_coeffs)
-        object.__setattr__(self, "piece_coeffs", pieces)
-        if self.degree_bound < 0 or self.degree_bound > MAX_DEGREE:
-            raise ValidationError(f"degree bound must be between 0 and {MAX_DEGREE}")
-        if len(pieces) != len(self.breakpoints) + 1:
-            raise ValidationError("piece count must be breakpoint count + 1")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
-                raise ValidationError("breakpoints must be strictly increasing")
-        for coeffs in pieces:
-            if not coeffs:
-                raise ValidationError("each piece needs at least one coefficient")
-            if len(coeffs) > self.degree_bound + 1:
-                raise ValidationError("piece degree exceeds the spline's degree bound")
-        for i, b in enumerate(self.breakpoints):
-            left = poly_eval(pieces[i], b)
-            right = poly_eval(pieces[i + 1], b)
-            if abs(left - right) > CONTINUITY_REL_TOL * max(1.0, abs(left), abs(right)):
-                raise ValidationError(f"spline is discontinuous at breakpoint {b!r}")
-
-    @property
-    def pieces(self) -> int:
-        return len(self.piece_coeffs)
-
-    def evaluate(self, x: float) -> float:
-        idx = bisect_right(self.breakpoints, x)
-        return poly_eval(self.piece_coeffs[idx], x)
-
-    def __call__(self, x: float) -> float:
-        return self.evaluate(x)
-
-
-@dataclass(frozen=True)
-class SplineKan:
-    """KAN whose activations are splines; output q sums activations[q][p](x_p)."""
-
-    layers: tuple[tuple[tuple[PolySegmentSpline, ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        layers = tuple(tuple(tuple(row) for row in grid) for grid in self.layers)
-        object.__setattr__(self, "layers", layers)
-        if not layers:
-            raise ValidationError("a spline KAN needs at least one layer")
-        for grid in layers:
-            if not grid or not grid[0]:
-                raise ValidationError("layer must have at least one input and one output")
-            width = len(grid[0])
-            if any(len(row) != width for row in grid):
-                raise ValidationError("activation grid must be rectangular")
-        for a, b in zip(layers, layers[1:]):
-            if len(a) != len(b[0]):
-                raise ValidationError("layer widths must chain")
-
-    @property
-    def input_dim(self) -> int:
-        return len(self.layers[0][0])
-
-    @property
-    def output_dim(self) -> int:
-        return len(self.layers[-1])
-
-    @cached_property
-    def live_columns(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per layer and row, the ascending indices of activations that are not constant zero.
-
-        An activation is constant zero when every coefficient of every piece
-        is ``±0.0``.  Built on first use.
-        """
-        return tuple(
-            tuple(
-                tuple(
-                    p
-                    for p, act in enumerate(row)
-                    if any(c != 0.0 for coeffs in act.piece_coeffs for c in coeffs)
-                )
-                for row in grid
-            )
-            for grid in self.layers
-        )
+    activation_type = PolySegmentSpline
 
     def evaluate(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.input_dim, "SplineKan input")
-        for grid, live_rows in zip(self.layers, self.live_columns):
-            # a constant-zero activation gives ±0.0 at a finite input, which
-            # leaves a sum started at +0.0 unchanged; at inf or NaN it gives NaN
-            if not _all_finite(v):
-                live_rows = [range(len(row)) for row in grid]
-            out = []
-            for row, live in zip(grid, live_rows):
-                acc = 0.0
-                for p in live:
-                    acc += row[p].evaluate(v[p])
-                out.append(acc)
-            v = tuple(out)
+        for layer in self.layers:
+            v = layer.apply(v)
         return v
 
 
@@ -201,6 +92,7 @@ class MonomialReluBlock:
         rows, bias = _affine_params(self.weight, self.bias)
         object.__setattr__(self, "weight", rows)
         object.__setattr__(self, "bias", bias)
+        _check_int(self.degree, "degree")
         if self.degree < 0 or self.degree > MAX_DEGREE:
             raise ValidationError(f"degree must be between 0 and {MAX_DEGREE}")
         if len(rows) % (self.degree + 1) != 0:
@@ -316,7 +208,7 @@ def bspline_to_monomial_relu(
     )
 
 
-def _affine_grid(weight, bias) -> tuple[tuple[PolySegmentSpline, ...], ...]:
+def _affine_grid(weight, bias) -> KanLayer:
     rows = []
     for q in range(len(weight)):
         row = []
@@ -324,18 +216,18 @@ def _affine_grid(weight, bias) -> tuple[tuple[PolySegmentSpline, ...], ...]:
             constant = bias[q] if p == 0 else 0.0
             row.append(PolySegmentSpline((), ((constant, weight[q][p]),), 1))
         rows.append(tuple(row))
-    return tuple(rows)
+    return KanLayer(tuple(rows))
 
 
 _ZERO_SPLINE = PolySegmentSpline((), ((0.0,),), 0)
 _RELU_SPLINE = PolySegmentSpline((0.0,), ((0.0,), (0.0, 1.0)), 1)
 
 
-def _diagonal_grid(width: int, diag) -> tuple[tuple[PolySegmentSpline, ...], ...]:
-    return tuple(
+def _diagonal_grid(width: int, diag) -> KanLayer:
+    return KanLayer(tuple(
         tuple(diag(q) if p == q else _ZERO_SPLINE for p in range(width))
         for q in range(width)
-    )
+    ))
 
 
 def monomial_relu_to_spline_kan(net: MonomialReluNetwork) -> SplineKan:

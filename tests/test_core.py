@@ -14,7 +14,9 @@ from kanrelu import (
     Mlp,
     MlpLayer,
     PiecewiseLinear,
+    PolySegmentSpline,
     ShapeError,
+    SplineKan,
     ValidationError,
     eval_kan,
     eval_mlp,
@@ -170,6 +172,20 @@ class TestKanEval:
     def test_zero_width_layer_rejected(self):
         with pytest.raises(ValidationError):
             KanLayer(())
+
+    def test_activation_kinds_do_not_mix(self):
+        pl = PiecewiseLinear((), (1.0,), 0.0)
+        spline = PolySegmentSpline((), ((0.0, 1.0),), 1)
+        with pytest.raises(ValidationError, match="all PiecewiseLinear or all PolySegmentSpline"):
+            KanLayer(((pl, spline),))
+        with pytest.raises(ValidationError, match="all PiecewiseLinear or all PolySegmentSpline"):
+            KanLayer(((spline,), (1.0,)))
+        with pytest.raises(ValidationError, match="KanLayers of PiecewiseLinear"):
+            Kan((KanLayer(((spline,),)),))
+        with pytest.raises(ValidationError, match="KanLayers of PolySegmentSpline"):
+            SplineKan((KanLayer(((pl,),)),))
+        with pytest.raises(ValidationError, match="KanLayers of PiecewiseLinear"):
+            Kan((((pl,),),))
 
 
 class TestMlpEval:

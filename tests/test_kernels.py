@@ -1,7 +1,7 @@
 """Sparse evaluation kernels against the dense loops they replace, bit for bit.
 
 The reference loops below are the dense versions of ``MlpLayer.apply``,
-``regions._apply_affine`` and ``SplineKan.evaluate``: they visit every entry
+``regions._apply_affine`` and ``KanLayer.apply``: they visit every entry
 in ascending index order.  The kernels skip zero weights, sum each distinct
 row of a layer once and skip constant-zero activations, which must not
 change a single output bit, including on infinite and NaN inputs.
@@ -11,24 +11,30 @@ import random
 import struct
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanrelu import (
     Activation,
     ConversionMode,
+    DomainError,
+    Kan,
+    KanLayer,
     Mlp,
     MlpLayer,
+    PiecewiseLinear,
     PolySegmentSpline,
+    SplineKan,
     bspline_from_knots,
     bspline_to_monomial_relu,
     exact_regions_1d,
     kan_to_mlp,
+    mlp_to_kan,
     monomial_relu_to_spline_kan,
     save,
 )
 from kanrelu import regions
-from kanrelu.splines import SplineKan
 
 from conftest import random_kan
 
@@ -72,15 +78,23 @@ def dense_apply_affine(forms, layer):
 
 def full_grid_evaluate(kan, x):
     v = tuple(float(t) for t in x)
-    for grid in kan.layers:
+    for layer in kan.layers:
         out = []
-        for row in grid:
+        for row in layer.activations:
             acc = 0.0
             for p, act in enumerate(row):
-                acc += act.evaluate(v[p])
+                acc += act(v[p])
             out.append(acc)
         v = tuple(out)
     return v
+
+
+def outcome(f, *args):
+    """The bits ``f`` returns, or the DomainError it raises."""
+    try:
+        return bits(f(*args))
+    except DomainError as e:
+        return repr(e)
 
 
 _WEIGHTS = st.one_of(
@@ -236,47 +250,91 @@ _ZERO_SPLINES = (
     PolySegmentSpline((), ((-0.0, 0.0),), 1),
     PolySegmentSpline((0.5,), ((0.0,), (-0.0, 0.0, 0.0)), 2),
 )
+_ZERO_PLS = (
+    PiecewiseLinear((), (0.0,), 0.0),
+    PiecewiseLinear((), (-0.0,), -0.0),
+    PiecewiseLinear((0.5,), (0.0, -0.0), -0.0),
+    # zero slopes and intercept, but 1e308 - (-1e308) is inf and 0.0 * inf is NaN
+    PiecewiseLinear((-1e308, 0.0), (-0.0, 0.0, 0.0), 0.0),
+)
+_RELUS = {
+    PolySegmentSpline: PolySegmentSpline((0.0,), ((0.0,), (0.0, 1.0)), 1),
+    PiecewiseLinear: PiecewiseLinear((0.0,), (0.0, 1.0), 0.0),
+}
 
 
 @st.composite
-def _spline_kans(draw):
-    def spline():
+def _kans(draw):
+    """A PL or spline KAN with zero, ReLU and random activations, and an input."""
+    spline = draw(st.booleans())
+
+    def activation():
         kind = draw(st.integers(0, 3))
         if kind == 0:
-            return draw(st.sampled_from(_ZERO_SPLINES))
+            return draw(st.sampled_from(_ZERO_SPLINES if spline else _ZERO_PLS))
         if kind == 1:
-            return PolySegmentSpline((0.0,), ((0.0,), (0.0, 1.0)), 1)
-        coeffs = tuple(draw(_WEIGHTS) for _ in range(draw(st.integers(1, 4))))
-        return PolySegmentSpline((), (coeffs,), len(coeffs) - 1)
+            return _RELUS[PolySegmentSpline if spline else PiecewiseLinear]
+        if spline:
+            coeffs = tuple(draw(_WEIGHTS) for _ in range(draw(st.integers(1, 4))))
+            return PolySegmentSpline((), (coeffs,), len(coeffs) - 1)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        breakpoints = sorted(draw(st.sets(finite, max_size=3)))
+        slopes = tuple(draw(_WEIGHTS) for _ in range(len(breakpoints) + 1))
+        return PiecewiseLinear(tuple(breakpoints), slopes, draw(_WEIGHTS))
 
     widths = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 4)))]
     layers = tuple(
-        tuple(tuple(spline() for _ in range(n_in)) for _ in range(n_out))
+        KanLayer(tuple(tuple(activation() for _ in range(n_in)) for _ in range(n_out)))
         for n_in, n_out in zip(widths, widths[1:])
     )
     x = tuple(draw(_INPUTS) for _ in range(widths[0]))
-    return SplineKan(layers), x
+    return (SplineKan if spline else Kan)(layers), x
 
 
 class TestSplineKanEvaluate:
-    @given(_spline_kans())
-    @settings(max_examples=300, deadline=None)
+    """``KanLayer.apply`` through ``SplineKan`` and ``Kan``, against the full grid loop."""
+
+    @given(_kans())
+    @settings(max_examples=400, deadline=None)
     def test_matches_full_grid_loop_bit_for_bit(self, case):
         kan, x = case
-        assert bits(kan.evaluate(x)) == bits(full_grid_evaluate(kan, x))
+        assert outcome(kan.evaluate, x) == outcome(full_grid_evaluate, kan, x)
 
     def test_zero_activation_at_inf_is_nan(self):
-        kan = SplineKan((((_ZERO_SPLINES[0], PolySegmentSpline((), ((1.0,),), 0)),),))
+        kan = SplineKan((KanLayer(((_ZERO_SPLINES[0], PolySegmentSpline((), ((1.0,),), 0)),)),))
         assert math.isnan(kan.evaluate((INF, 0.0))[0])
-        assert kan.live_columns == (((1,),),)
+        assert kan.layers[0].live_columns == ((1,),)
+        # a zero PL activation still raises at a non-finite input
+        kan = Kan((KanLayer(((_ZERO_PLS[0], _RELUS[PiecewiseLinear]),)),))
+        assert kan.layers[0].live_columns == ((1,),)
+        with pytest.raises(DomainError, match="inf"):
+            kan.evaluate((INF, 0.0))
+        # and one whose x - b can overflow is never skipped
+        kan = Kan((KanLayer(((_ZERO_PLS[3], _RELUS[PiecewiseLinear]),)),))
+        assert kan.layers[0].live_columns == ((0, 1),)
+        assert math.isnan(kan.evaluate((1e308, 0.0))[0])
+        assert bits(kan.evaluate((-1e308, 2.0))) == bits((2.0,))
 
     def test_lowered_bspline_matches_full_grid_loop(self):
         rng = random.Random(3)
         knots = [-3.0 + 0.3 * i for i in range(20)]
         spline = bspline_from_knots(knots, [rng.uniform(-1.0, 1.0) for _ in range(16)], 3)
         kan = monomial_relu_to_spline_kan(bspline_to_monomial_relu(spline))
-        live = sum(len(row) for grid in kan.live_columns for row in grid)
-        total = sum(len(row) for grid in kan.layers for row in grid)
+        live = sum(len(row) for layer in kan.layers for row in layer.live_columns)
+        total = sum(layer.n_in * layer.n_out for layer in kan.layers)
         assert live < total // 10
         for x in [-4.0, -0.0, 0.0, 0.31, 2.5, 1e200, INF, -INF, NAN]:
             assert bits(kan.evaluate((x,))) == bits(full_grid_evaluate(kan, (x,)))
+
+    def test_lifted_kan_matches_full_grid_loop(self):
+        # zero MLP weights lift to zero activations with either sign of zero
+        source = random_kan(random.Random(11), input_dim=3, output_dim=2, max_width=3, max_depth=2)
+        kan = mlp_to_kan(kan_to_mlp(source, ConversionMode.EXACT))
+        live = sum(len(row) for layer in kan.layers for row in layer.live_columns)
+        assert live < sum(layer.n_in * layer.n_out for layer in kan.layers) // 2
+        rng = random.Random(12)
+        for _ in range(20):
+            x = tuple(rng.uniform(-4.0, 4.0) for _ in range(3))
+            assert bits(kan.evaluate(x)) == bits(full_grid_evaluate(kan, x))
+        for x in [(INF, 0.0, 1.0), (0.0, NAN, 1.0), (1e308, -1e308, 0.0)]:
+            assert outcome(kan.evaluate, x) == outcome(full_grid_evaluate, kan, x)

@@ -270,6 +270,31 @@ class TestValidationOnLoad:
         code, out, _ = run_cli(["eval", path, "--input", "1,1"])
         assert (code, out) == (1, "")
 
+    @pytest.mark.parametrize("change", [
+        {"weight_tags": (("foo",),)},
+        {"bias_tags": ("foo",)},
+        {"source_params": 2.5},
+        {"source_params": True},
+    ], ids=["weight_tag", "bias_tag", "float_source_params", "bool_source_params"])
+    def test_layer_a_file_cannot_hold_is_not_built(self, change):
+        # each of these used to build and save, then fail to load
+        with pytest.raises(ValidationError):
+            MlpLayer(((1.0,),), (0.0,), Activation.IDENTITY, **change)
+
+    @pytest.mark.parametrize("tag", ["foo", ["structural"], None], ids=["foo", "list", "null"])
+    @pytest.mark.parametrize("field", ["weight_tags", "bias_tags"])
+    def test_bad_tag_in_file_rejected(self, field, tag, tmp_path):
+        doc = json.loads((FIXTURES / "three_segment_mlp.json").read_text())
+        tags = doc["payload"]["layers"][0][field]
+        (tags[0] if field == "weight_tags" else tags)[0] = tag
+        with pytest.raises(ValidationError, match=f"{field} must be 'structural' or 'free'"):
+            loads_model(json.dumps(doc))
+        path = tmp_path / "bad_tag.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out) == (1, "")
+        assert field in err
+
     @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
     def test_grid_row_must_be_a_list(self, kind, tmp_path):
         doc = {"kind": kind, "version": "1", "metadata": {},
@@ -382,6 +407,26 @@ class TestCliExitCodes:
         assert code == 0, err
         report = json.loads(out)
         assert report["passed"] and len(report["worst_point"]) == 16
+
+    @pytest.mark.parametrize("argv, code, message", [
+        pytest.param(argv, code, message, id=argv[0]) for argv, code, message in [
+            (["convert", "--to", "mlp", "{model}", "{tmp}/x.json"], 2, "expects a kan model"),
+            (["params", "{model}"], 2, "supports kan and mlp models"),
+            (["bounds", "{model}"], 2, "supports kan and mlp models"),
+            (["embed-check", "{model}"], 2, "expects a kan model"),
+            (["regions", "{model}", "--out", "{tmp}/c.json"], 1, "unsupported network type SplineKan"),
+            (["eval", "{model}", "--input", "0.5"], 0, ""),
+        ]
+    ])
+    def test_spline_kan_file(self, argv, code, message, tmp_path):
+        model = FIXTURES / "square_flip_spline_kan.json"
+        got, out, err = run_cli([a.format(model=model, tmp=tmp_path) for a in argv])
+        assert got == code, err
+        assert message in err and "Traceback" not in err
+        if code:
+            assert out == ""
+        else:
+            assert float(out) == load(model).evaluate((0.5,))[0]
 
     def test_seed_changes_sample_set_but_not_verdict(self):
         a = FIXTURES / "three_segment_kan.json"

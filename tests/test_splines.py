@@ -67,6 +67,30 @@ class TestSplineType:
         with pytest.raises(ValidationError):
             PolySegmentSpline((), ((0.0, 0.0, 1.0),), 1)
 
+    @pytest.mark.parametrize("degree", [2.5, True])
+    def test_degree_bound_must_be_an_int(self, degree):
+        # a file cannot hold these degrees, so a saved spline would not load
+        with pytest.raises(ValidationError, match="integer"):
+            PolySegmentSpline((), ((0.0, 1.0),), degree)
+        with pytest.raises(ValidationError, match="integer"):
+            MonomialReluBlock(((1.0,), (1.0,)), (0.0, 0.0), degree)
+
+    def test_continuity_tolerance_scales_with_terms(self):
+        # close random knots leave rounding in the monomial pieces of up to
+        # 4e-14 of their terms sum |c_j| |b|^j, which is more than 1e-9 of
+        # the value they sum to at some breakpoints
+        rng = random.Random(1)
+        for _ in range(200):
+            knots = sorted(rng.uniform(-3.0, 3.0) for _ in range(20))
+            spline = bspline_from_knots(knots, [rng.uniform(-1.0, 1.0) for _ in range(16)], 3)
+        # a real jump of 1e-6 of the terms is still one
+        b = spline.breakpoints[0]
+        size = sum(abs(c) * abs(b) ** j for coeffs in spline.piece_coeffs[:2] for j, c in enumerate(coeffs))
+        pieces = list(spline.piece_coeffs)
+        pieces[1] = (pieces[1][0] + 1e-6 * size,) + pieces[1][1:]
+        with pytest.raises(ValidationError, match="discontinuous"):
+            PolySegmentSpline(spline.breakpoints, tuple(pieces), 3)
+
     def test_breakpoint_goes_to_right_piece(self):
         s = PolySegmentSpline((0.0,), ((0.0, 1.0), (0.0, 0.0, 1.0)), 2)
         assert s.evaluate(0.0) == 0.0
