@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import FREE, STRUCTURAL, Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear
 from .errors import ValidationError
@@ -105,13 +105,22 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
             ),
             MlpLayer(
                 weight=tuple(w2),
-                bias=tuple(sum(act.intercept for act in acts) for acts in layer.activations),
+                bias=tuple(_ascending_sum(act.intercept for act in acts) for acts in layer.activations),
                 activation=Activation.IDENTITY,
                 weight_tags=tuple(w2_tags),
                 bias_tags=(FREE,) * layer.n_out,
             ),
         )
     )
+
+
+def _ascending_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right to ``0.0``: what builtin ``sum`` gives
+    before Python 3.12, whose ``sum`` of floats compensates rounding."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
 
 
 def _merge_affine(

@@ -2,7 +2,8 @@
 
 All types are immutable value objects.  Evaluation is pure, uses 64-bit
 floats throughout, and sums contributions in ascending input index order so
-results are bit-reproducible.
+results are bit-reproducible, except for the sign of a NaN, which CPython
+does not fix: adding two NaNs may return either one.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ from .errors import DomainError, ShapeError, ValidationError
 Vector = tuple[float, ...]
 # (rows of (column, weight) pairs to sum, index of each output row's sum in them)
 SummationRows = tuple[tuple[tuple[tuple[int, float], ...], ...], Sequence[int]]
+# (column, first slope, intercept, (breakpoint, slope change) pairs) of a live PL activation
+_PlEntry = tuple[int, float, float, tuple[tuple[float, float], ...]]
 
 # provenance tags of MLP entries
 STRUCTURAL = "structural"
@@ -85,9 +88,12 @@ def _all_finite(values: Iterable[float]) -> bool:
 
 
 def _as_vector(x: Sequence[float], expected: int, what: str) -> Vector:
+    """``x`` as a tuple of floats; a tuple of floats is kept, not copied."""
     if len(x) != expected:
         raise ShapeError(f"{what}: expected length {expected}, got {len(x)}")
-    return tuple(float(v) for v in x)
+    if type(x) is tuple and _FLOAT.issuperset(map(type, x)):
+        return x
+    return tuple(map(float, x))
 
 
 @dataclass(frozen=True)
@@ -297,16 +303,59 @@ class KanLayer:
             tuple(p for p, act in enumerate(row) if not zero[id(act)]) for row in self.activations
         )
 
+    @cached_property
+    def _pl_rows(self) -> tuple[tuple[_PlEntry, ...], ...] | None:
+        """Per row, ``(p, slopes[0], intercept, ((b, slope change at b), ...))``
+        for each live column of a PL layer, None for a spline layer; built on first use.
+
+        Each distinct activation object's entry is built once.
+        """
+        if not isinstance(self.activations[0][0], PiecewiseLinear):
+            return None
+        consts: dict[int, tuple[float, float, tuple[tuple[float, float], ...]]] = {}
+        rows = []
+        for row, live in zip(self.activations, self.live_columns):
+            entries = []
+            for p in live:
+                act = row[p]
+                c = consts.get(id(act))
+                if c is None:
+                    s = act.slopes
+                    kinks = tuple((b, s[i + 1] - s[i]) for i, b in enumerate(act.breakpoints))
+                    c = consts[id(act)] = (s[0], act.intercept, kinks)
+                entries.append((p, *c))
+            rows.append(tuple(entries))
+        return tuple(rows)
+
     def apply(self, x: Sequence[float]) -> Vector:
         """Row sums in ascending column order, each started at ``+0.0``.
 
         Such a sum is never ``-0.0``, so adding the ``±0.0`` of a zero
         activation at a finite input would not change it: only
-        ``live_columns`` are visited.  A non-finite input visits every
-        activation, where a PL one raises ``DomainError`` and a spline gives NaN.
+        ``live_columns`` are visited.  A finite sum of the inputs means every
+        input is finite; otherwise every activation is visited, where a PL
+        one raises ``DomainError`` at a non-finite input and a spline gives
+        NaN.  A PL layer evaluates ``_pl_rows`` with the operations of
+        ``PiecewiseLinear.evaluate``, in the same order.
         """
         v = _as_vector(x, self.n_in, "KanLayer input")
-        columns = self.live_columns if _all_finite(v) else (range(self.n_in),) * self.n_out
+        finite = math.isfinite(sum(v))
+        if finite and self._pl_rows is not None:
+            out = []
+            for row in self._pl_rows:
+                acc = 0.0
+                for p, slope, intercept, kinks in row:
+                    t = v[p]
+                    y = slope * t + intercept
+                    for b, d in kinks:
+                        if b <= t:
+                            y += d * (t - b)
+                        else:
+                            break
+                    acc += y
+                out.append(acc)
+            return tuple(out)
+        columns = self.live_columns if finite else (range(self.n_in),) * self.n_out
         out = []
         for row, live in zip(self.activations, columns):
             acc = 0.0
@@ -456,9 +505,20 @@ class MlpLayer:
             return self.nonzero_rows
         return tuple(tuple(enumerate(row)) for row in self.weight), range(self.n_out)
 
+    @cached_property
+    def _index_bias(self) -> tuple[tuple[int, float], ...]:
+        """Each output row's index into ``nonzero_rows`` paired with its bias; built on first use."""
+        return tuple(zip(self.nonzero_rows[1], self.bias))
+
     def apply(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.n_in, "MlpLayer input")
-        rows, index = self.summation_rows(_all_finite(v))
+        # a finite sum means every input is finite; a finite input whose sum
+        # overflows takes the ungrouped rows, which give the same bits
+        if math.isfinite(sum(v)):
+            rows, index_bias = self.nonzero_rows[0], self._index_bias
+        else:
+            rows, index = self.summation_rows(False)
+            index_bias = zip(index, self.bias)
         sums = []
         for row in rows:
             acc = 0.0
@@ -466,10 +526,9 @@ class MlpLayer:
                 acc += w * v[p]
             sums.append(acc)
         # the bias goes last, after the shared row sum, as in the dense loop
-        out = [sums[i] + bias for i, bias in zip(index, self.bias)]
         if self.activation is Activation.RELU:
-            return tuple([y if y > 0.0 else 0.0 for y in out])
-        return tuple(out)
+            return tuple([y if (y := sums[i] + b) > 0.0 else 0.0 for i, b in index_bias])
+        return tuple([sums[i] + b for i, b in index_bias])
 
 
 @dataclass(frozen=True)

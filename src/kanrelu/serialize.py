@@ -332,7 +332,10 @@ def _need(doc: Any, key: str, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParseError(f"{where}.{key}: expected a number")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            raise ParseError(f"{where}.{key}: number too large for a float") from None
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParseError(f"{where}.{key}: expected an integer")
@@ -351,7 +354,19 @@ def _floats(values: Any, where: str) -> tuple[float, ...]:
     if not _NUMBER.issuperset(map(type, values)):  # bool is not a number here
         i = next(i for i, v in enumerate(values) if type(v) not in _NUMBER)
         raise ParseError(f"{where}[{i}]: expected a number")
-    return tuple(map(float, values))
+    try:
+        return tuple(map(float, values))
+    except OverflowError:  # an integer literal beyond the float range
+        i = next(i for i, v in enumerate(values) if _overflows(v))
+        raise ParseError(f"{where}[{i}]: number too large for a float") from None
+
+
+def _overflows(value: int | float) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return True
+    return False
 
 
 def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
@@ -444,7 +459,10 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: value must be a number")
             if tag not in (STRUCTURAL, FREE):
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: bad tag {tag!r}")
-            dense[r][c] = float(value)
+            try:
+                dense[r][c] = float(value)
+            except OverflowError:  # an integer literal beyond the float range
+                raise ParseError(f"{where}.weight_sparse.triplets[{i}]: number too large for a float") from None
             tags[r][c] = tag
         weight = _matrix(dense, f"{where}.weight_sparse")
         weight_tags = _tag_matrix(tags, f"{where}.weight_sparse") if tagged else None
@@ -527,6 +545,8 @@ def loads_model(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
+    except ValueError as e:  # an integer literal beyond the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {e}") from e
     kind = _need(doc, "kind", str, "document")
     if kind not in KINDS:
         raise ParseError(f"document.kind: unknown kind {kind!r}")

@@ -115,6 +115,13 @@ class TestLayerLowering:
         block = kan_layer_to_relu(layer, ConversionMode.EXACT)
         assert block.evaluate((2.0,)) == (3.5, 2.0)
 
+    @pytest.mark.parametrize("mode", [ConversionMode.EXACT, ConversionMode.PAPER])
+    def test_output_bias_sums_intercepts_left_to_right(self, mode):
+        # Python 3.12's builtin sum of floats compensates and gives 1.0000000000000002
+        acts = tuple(PiecewiseLinear((), (1.0,), c) for c in (1.0, 1e-16, 1e-16))
+        block = kan_layer_to_relu(KanLayer((acts,)), mode)
+        assert block.layers[-1].bias == (1.0,)
+
     def test_exact_width_law(self, three_segment_pl):
         grid = ((three_segment_pl, three_segment_pl), (three_segment_pl, three_segment_pl))
         layer = KanLayer(grid)

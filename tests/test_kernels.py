@@ -9,6 +9,7 @@ change a single output bit, including on infinite and NaN inputs.
 import math
 import random
 import struct
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -25,16 +26,19 @@ from kanrelu import (
     MlpLayer,
     PiecewiseLinear,
     PolySegmentSpline,
+    ShapeError,
     SplineKan,
     bspline_from_knots,
     bspline_to_monomial_relu,
+    count_params_kan,
+    count_params_mlp,
     exact_regions_1d,
     kan_to_mlp,
     mlp_to_kan,
     monomial_relu_to_spline_kan,
     save,
 )
-from kanrelu import regions
+from kanrelu import core, regions
 
 from conftest import random_kan
 
@@ -42,8 +46,18 @@ INF = math.inf
 NAN = math.nan
 
 
+_NAN_BITS = struct.pack("<d", NAN)
+
+
 def bits(values):
-    return tuple(struct.pack("<d", v) for v in values)
+    """Each value's bytes, with every NaN as one pattern.
+
+    CPython does not fix the sign of a NaN: on 3.11 adding two NaNs can
+    return either operand's NaN, depending on whether the ``+`` has been
+    specialized yet.  NaN positions, ``±0.0``, ``±inf`` and every other bit
+    are still compared.
+    """
+    return tuple(_NAN_BITS if v != v else struct.pack("<d", v) for v in values)
 
 
 def dense_apply(layer, x):
@@ -174,13 +188,39 @@ class TestMlpLayerApply:
     def test_row_view_is_built_on_first_use_only(self, tmp_path):
         kan = random_kan(random.Random(5), input_dim=2, output_dim=1, max_width=3)
         mlp = kan_to_mlp(kan, ConversionMode.EXACT)
-        save(mlp, tmp_path / "mlp.json")
-        assert all("nonzero_rows" not in vars(layer) for layer in mlp.layers)
-        before = (repr(mlp), hash(mlp))
-        mlp.evaluate((0.5, -0.25))
-        assert all("nonzero_rows" in vars(layer) for layer in mlp.layers)
-        assert (repr(mlp), hash(mlp)) == before
+        back = mlp_to_kan(mlp)
+        count_params_kan(kan), count_params_mlp(mlp), count_params_kan(back)
+        for name, model in (("kan", kan), ("mlp", mlp), ("back", back)):
+            save(model, tmp_path / f"{name}.json")
+        caches = {Mlp: ("nonzero_rows", "_index_bias"), Kan: ("live_columns", "_pl_rows")}
+
+        def built(model):
+            return [name in vars(layer) for layer in model.layers for name in caches[type(model)]]
+
+        models = (kan, mlp, back)
+        assert not any(chain.from_iterable(map(built, models)))
+        before = [(repr(m), hash(m)) for m in models]
+        for model in models:
+            model.evaluate((0.5, -0.25))
+        assert all(chain.from_iterable(map(built, models)))
+        assert [(repr(m), hash(m)) for m in models] == before
         assert mlp == kan_to_mlp(kan, ConversionMode.EXACT)
+        assert back == mlp_to_kan(kan_to_mlp(kan, ConversionMode.EXACT))
+
+    def test_overflowing_input_sum_takes_the_ungrouped_rows(self):
+        # every input is finite, but their sum is not
+        layer = MlpLayer(
+            ((1e-10, 0.0, 2.0), (1e-10, -0.0, 2.0), (0.0, 0.0, 0.0), (0.5, 0.5, 0.0)),
+            (0.0, -1.0, -0.0, 0.5),
+            Activation.IDENTITY,
+        )
+        for x in [(1e308, 1e308, 0.5), (-1e308, -1e308, 0.5), (1e308, 1e308, -0.0)]:
+            with mock.patch.object(
+                MlpLayer, "summation_rows", autospec=True, side_effect=MlpLayer.summation_rows
+            ) as rows:
+                out = layer.apply(x)
+            rows.assert_called_once_with(layer, False)
+            assert bits(out) == bits(dense_apply(layer, x))
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(ConversionMode)))
     @settings(max_examples=40, deadline=None)
@@ -291,6 +331,29 @@ def _kans(draw):
     return (SplineKan if spline else Kan)(layers), x
 
 
+class TestAsVector:
+    def test_tuple_of_floats_is_not_copied(self):
+        x = (0.5, -0.0, INF)
+        assert core._as_vector(x, 3, "x") is x
+
+    @pytest.mark.parametrize("x", [[0.5, -0.0], (1, -0.0), (True, 0.5), (0.5, False)], ids=repr)
+    def test_other_input_is_converted(self, x):
+        v = core._as_vector(x, 2, "x")
+        assert type(v) is tuple and [type(t) for t in v] == [float, float]
+        assert bits(v) == bits(float(t) for t in x)
+        layer = MlpLayer(((1.0, -1.0),), (0.0,), Activation.IDENTITY)
+        assert bits(layer.apply(x)) == bits(layer.apply(v))
+
+    @pytest.mark.parametrize("x", [(0.5,), (0.5, 1.0, 2.0), [0.5], ()])
+    def test_wrong_length_raises(self, x):
+        with pytest.raises(ShapeError, match="expected length 2"):
+            core._as_vector(x, 2, "x")
+        with pytest.raises(ShapeError):
+            MlpLayer(((1.0, -1.0),), (0.0,), Activation.IDENTITY).apply(x)
+        with pytest.raises(ShapeError):
+            KanLayer(((_RELUS[PiecewiseLinear],) * 2,)).apply(x)
+
+
 class TestSplineKanEvaluate:
     """``KanLayer.apply`` through ``SplineKan`` and ``Kan``, against the full grid loop."""
 
@@ -314,6 +377,22 @@ class TestSplineKanEvaluate:
         assert kan.layers[0].live_columns == ((0, 1),)
         assert math.isnan(kan.evaluate((1e308, 0.0))[0])
         assert bits(kan.evaluate((-1e308, 2.0))) == bits((2.0,))
+
+    @pytest.mark.parametrize("kind", [PiecewiseLinear, PolySegmentSpline], ids=lambda k: k.__name__)
+    def test_overflowing_input_sum_visits_every_activation(self, kind):
+        # every input is finite, but their sum is not
+        if kind is PiecewiseLinear:
+            zero, other = _ZERO_PLS[2], PiecewiseLinear((-1.0, 2.0), (0.5, -1e-300, 3.0), 1.0)
+        else:
+            zero, other = _ZERO_SPLINES[2], PolySegmentSpline((), ((1.0, -1e-300, 2.0),), 2)
+        relu = _RELUS[kind]
+        layer = KanLayer(((relu, zero, other), (zero, zero, zero), (other, relu, zero)))
+        kan = (SplineKan if kind is PolySegmentSpline else Kan)((layer,))
+        for x in [(1e308, 1e308, 0.5), (-1e308, -1e308, 0.5), (0.5, 1e308, 1e308)]:
+            with mock.patch.object(kind, "evaluate", autospec=True, side_effect=kind.evaluate) as calls:
+                out = layer.apply(x)
+            assert calls.call_count == 9
+            assert bits(out) == bits(full_grid_evaluate(kan, x))
 
     def test_live_columns_ask_each_shared_activation_once(self, monkeypatch):
         calls = []

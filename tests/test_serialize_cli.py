@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import stat
 import tempfile
 import threading
@@ -446,6 +447,38 @@ class TestValidationOnLoad:
         code, out, err = run_cli(["eval", path, "--input", "1"])
         assert (code, out) == (1, "")
         assert field in err
+
+    @pytest.mark.parametrize("fixture, keys, field", [
+        ("three_segment_kan.json", ("activations", 0, 0, "intercept"), "activations[0][0].intercept"),
+        ("three_segment_kan.json", ("activations", 0, 0, "slopes", 1), "activations[0][0].slopes[1]"),
+        ("three_segment_mlp_sparse.json", ("weight_sparse", "triplets", 1, 2), "weight_sparse.triplets[1]"),
+    ], ids=["need", "floats", "sparse_triplet"])
+    def test_integer_beyond_float_range_rejected(self, fixture, keys, field, tmp_path):
+        # each used to end in an OverflowError traceback
+        doc = json.loads((FIXTURES / fixture).read_text())
+        container = doc["payload"]["layers"][0]
+        for key in keys[:-1]:
+            container = container[key]
+        container[keys[-1]] = 10**400
+        with pytest.raises(ParseError, match=rf"{re.escape(field)}: number too large for a float"):
+            loads_model(json.dumps(doc))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out) == (1, "")
+        assert field in err
+
+    def test_integer_beyond_digit_limit_rejected(self, tmp_path):
+        # Python 3.11+ refuses to parse an integer of more than 4,300 digits
+        text = (FIXTURES / "three_segment_kan.json").read_text()
+        text = re.sub(r'"intercept": 0\b', '"intercept": 1' + "0" * 5000, text, count=1)
+        with pytest.raises(ParseError):
+            loads_model(text)
+        path = tmp_path / "huge.json"
+        path.write_text(text)
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out) == (1, "")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
     def test_grid_row_must_be_a_list(self, kind, tmp_path):
