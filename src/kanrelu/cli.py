@@ -1,7 +1,8 @@
 """Command-line surface wiring the conversion, counting and verify modules.
 
-Exit codes: 0 success, 1 verification or validation failure, 2 usage error
-(including operations applied to models of the wrong dimension or kind).
+Exit codes: 0 success, 1 verification or validation failure or a file that
+cannot be read or written, 2 usage error (including operations applied to
+models of the wrong dimension or kind).
 """
 from __future__ import annotations
 
@@ -256,7 +257,8 @@ def main(argv=None) -> int:
     except (ShapeError, UnsupportedDimensionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
-    except (ParseError, ValidationError, DomainError, FileNotFoundError) as e:
+    # OSError: a model or output path that cannot be opened, such as a directory
+    except (ParseError, ValidationError, DomainError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return FAILURE
 

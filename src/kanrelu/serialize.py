@@ -11,6 +11,9 @@ import json
 import math
 import os
 from array import array
+from collections import defaultdict
+from itertools import compress, repeat
+from operator import is_, itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -30,6 +33,11 @@ def _fmt_number(v: float) -> str:
     return format(v, ".17g")
 
 
+_CONTAINERS = (dict, list, tuple)
+# the exact value types of a list with one formatter each, and of a record list
+_FLOAT, _STR, _INT, _LIST = frozenset((float,)), frozenset((str,)), frozenset((int,)), frozenset((list,))
+
+
 class _QuotedStrings(dict):
     """str -> JSON string literal, computed once per distinct string."""
 
@@ -46,14 +54,15 @@ class _CanonicalEncoder:
     garbage collection.
     """
 
-    # pieces held before they are joined and written
+    # pieces held before they are joined and written, and rows per chunk of a record list
     FLUSH_PIECES = 1 << 12
 
     def __init__(self, write: Callable[[str], object]) -> None:
         self.write = write
         self.quoted = _QuotedStrings()
-        self.seen: set[tuple[int, int]] = set()
-        self.texts: dict[tuple[int, int], str] = {}
+        # per depth: ids of the dicts and tuples met once, and the text of those met again
+        self.seen: defaultdict[int, set[int]] = defaultdict(set)
+        self.texts: defaultdict[int, dict[int, str]] = defaultdict(dict)
         self.out: list[str] = []
         self.capturing = 0
 
@@ -75,6 +84,18 @@ class _CanonicalEncoder:
         if isinstance(value, str):
             return self.quoted[value]
         raise ValidationError(f"cannot serialize value of type {type(value).__name__}")
+
+    def formatter(self, kinds: set[type]) -> Callable[[Any], str] | None:
+        """The text function for values of exact types ``kinds``, None if one is a container."""
+        if kinds == _FLOAT:
+            return _fmt_number
+        if kinds == _STR:
+            return self.quoted.__getitem__
+        if kinds == _INT:
+            return int.__repr__
+        if kinds.isdisjoint(_CONTAINERS) and not any(issubclass(k, _CONTAINERS) for k in kinds):
+            return self.scalar
+        return None
 
     def encode(self, value: Any, indent: int) -> None:
         if isinstance(value, dict):
@@ -101,21 +122,24 @@ class _CanonicalEncoder:
         second, so only containers met again are cached.
         """
         # the document holds every container it reaches, so ids stay unique
-        key = (id(value), indent)
-        text = self.texts.get(key)
+        key = id(value)
+        texts = self.texts[indent]
+        text = texts.get(key)
         if text is not None:
             self.out.append(text)
-        elif key in self.seen:
+            return
+        seen = self.seen[indent]
+        if key in seen:
             out = self.out
             start = len(out)
             self.capturing += 1  # no flush may cut the capture short
             encode(value, indent)
             self.capturing -= 1
-            text = self.texts[key] = "".join(out[start:])
+            text = texts[key] = "".join(out[start:])
             del out[start:]
             out.append(text)
         else:
-            self.seen.add(key)
+            seen.add(key)
             encode(value, indent)
 
     def encode_dict(self, value: dict, indent: int) -> None:
@@ -130,41 +154,99 @@ class _CanonicalEncoder:
         out.append("  " * indent + "}")
 
     def encode_list(self, value, indent: int) -> None:
-        out = self.out
-        pad = "  " * indent
-        inner = "  " * (indent + 1)
         kinds = set(map(type, value))
-        if kinds == {float}:
-            fmt = _fmt_number
-        elif kinds == {str}:
-            fmt = self.quoted.__getitem__
-        elif not any(issubclass(k, (dict, list, tuple)) for k in kinds):
-            fmt = self.scalar
-        else:
-            encode, texts = self.encode, self.texts
+        fmt = self.formatter(kinds)
+        if fmt is not None:
+            self.out.extend(self.lines(map(fmt, value), len(value), indent))
+            return
+        if kinds == _LIST and self.encode_records(value, indent):
+            return
+        # the texts kept for the items, as in a row of a converted KAN, are
+        # looked up in one pass
+        kept = self.texts[indent + 1]
+        texts = list(map(kept.get, map(id, value)))
+        out, encode = self.out, self.encode
+        if 2 * texts.count(None) > len(texts):
+            # most items have no kept text: an item met again in this list is
+            # looked up again before it is encoded
+            inner = "  " * (indent + 1)
             last = len(value) - 1
             out.append("[\n")
             for i, v in enumerate(value):
                 out.append(inner)
-                # an item whose text is kept, as in a row of a converted KAN, needs no call
-                text = texts.get((id(v), indent + 1))
+                text = kept.get(id(v))
                 if text is None:
                     encode(v, indent + 1)
                 else:
                     out.append(text)
-                out.append(",\n" if i < last else "\n")
+                out.append(",\n" if i < last else "\n" + "  " * indent + "]")
                 if len(out) >= self.FLUSH_PIECES and not self.capturing:
                     self.flush()
-            out.append(pad + "]")
             return
-        # items go to ``out`` one by one, between copies of one shared
-        # separator: joining each list into its own string first fragments
-        # the heap and raised the peak memory of work done after a save
-        pieces = [",\n" + inner] * (2 * len(value) + 1)
+        # most items have kept text: the runs between the others go out whole
+        pieces = self.lines(texts, len(value), indent)
+        done = 0  # pieces before this one are in the output
+        for i in compress(range(len(value)), map(is_, texts, repeat(None))):
+            out.extend(pieces[done:2 * i + 1])
+            encode(value[i], indent + 1)
+            done = 2 * i + 2
+            if len(out) >= self.FLUSH_PIECES and not self.capturing:
+                self.flush()
+        out.extend(pieces[done:])
+
+    @staticmethod
+    def lines(texts, count: int, indent: int) -> list[str]:
+        """The pieces of a list at ``indent``: ``count`` item texts between separators.
+
+        Items go to the output one by one, between copies of one shared
+        separator: joining each list into its own string first fragments the
+        heap and raised the peak memory of work done after a save.
+        """
+        inner = "  " * (indent + 1)
+        pieces = [",\n" + inner] * (2 * count + 1)
         pieces[0] = "[\n" + inner
-        pieces[1::2] = map(fmt, value)
-        pieces[-1] = "\n" + pad + "]"
-        out.extend(pieces)
+        pieces[1::2] = texts
+        pieces[-1] = "\n" + "  " * indent + "]"
+        return pieces
+
+    def encode_records(self, value, indent: int) -> bool:
+        """Encode a list of equal-length lists of scalars column by column.
+
+        Each column is formatted by its type's text function, each row filled
+        into one template, and the rows written in chunks of ``FLUSH_PIECES``.
+        Returns False, having written nothing, for any other list of lists.
+        (Rows that are tuples, which a model may share, never come here.)
+        """
+        width = len(value[0])
+        if not width or not set(map(type, value[0])).isdisjoint(_CONTAINERS):
+            return False  # the usual case of a grid of dicts ends here
+        if set(map(len, value)) != {width}:
+            return False
+        formats = []
+        for column in map(itemgetter, range(width)):
+            fmt = self.formatter(set(map(type, map(column, value))))
+            if fmt is None:
+                return False
+            if fmt is _fmt_number:
+                # the values of a sparse file's weight column repeat row after row
+                distinct = set(map(column, value))
+                if 2 * len(distinct) <= len(value):
+                    fmt = dict(zip(distinct, map(_fmt_number, distinct))).__getitem__
+            formats.append(fmt)
+        inner = "  " * (indent + 1)
+        item = "  " * (indent + 2)
+        template = f"{inner}[\n{item}" + f"%s,\n{item}" * (width - 1) + f"%s\n{inner}]"
+        out, step = self.out, self.FLUSH_PIECES
+        out.append("[\n")
+        for start in range(0, len(value), step):
+            if start:
+                if not self.capturing:
+                    self.flush()
+                out.append(",\n")
+            columns = zip(*value[start:start + step])
+            out.append(",\n".join(map(template.__mod__, zip(*map(map, formats, columns)))))
+        out.append("\n" + "  " * indent + "]")
+        return True
 
 
 def _encode_canonical(obj: Any, write: Callable[[str], object]) -> None:
@@ -173,7 +255,10 @@ def _encode_canonical(obj: Any, write: Callable[[str], object]) -> None:
     Two-space indent, one item per line.  A dict or tuple met again at the
     same depth is encoded once and its text reused (converted KANs share
     one dict per distinct activation, converted MLPs one tuple per distinct
-    row), and a list of scalars is formatted in one pass without recursion.
+    row).  A list of scalars is formatted in one pass without recursion, a
+    list of equal-length lists of scalars (a sparse file's triplets) column
+    by column, and a list of containers with one lookup of the items' kept
+    texts.
     """
     encoder = _CanonicalEncoder(write)
     encoder.encode(obj, 0)
@@ -449,6 +534,7 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
         rows, cols = shape
         dense = [[0.0] * cols for _ in range(rows)]
         tags = [[STRUCTURAL] * cols for _ in range(rows)]
+        filled = bytearray(rows * cols)  # 1 where a triplet has set the entry
         for i, triplet in enumerate(_need(sparse, "triplets", list, f"{where}.weight_sparse")):
             if not isinstance(triplet, list) or len(triplet) != 4:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: expected [row, col, value, tag]")
@@ -459,6 +545,10 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: value must be a number")
             if tag not in (STRUCTURAL, FREE):
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: bad tag {tag!r}")
+            at = r * cols + c
+            if filled[at]:
+                raise ParseError(f"{where}.weight_sparse.triplets[{i}]: duplicate entry for row {r}, column {c}")
+            filled[at] = 1
             try:
                 dense[r][c] = float(value)
             except OverflowError:  # an integer literal beyond the float range
@@ -563,4 +653,8 @@ def loads_model(text: str):
 
 
 def load(path):
-    return loads_model(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not valid UTF-8 at byte {e.start}") from None
+    return loads_model(text)

@@ -209,6 +209,64 @@ def _documents(draw):
     }
 
 
+# scalars of every type a record column may hold, with ints beyond 2**53
+# beside equal floats, 1 beside 1.0 and -0.0 beside 0.0 and 0
+_COLUMN_SCALARS = {
+    "int": st.integers(-(10**20), 10**20),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.sampled_from(["structural", "free", "", 'q"%s\\']),
+    "bool": st.booleans(),
+    "none": st.none(),
+    "repeated_float": st.sampled_from([0.5, -0.0, 0.0, 1.0, 2.0**53, 2.0**60]),
+    "mixed": st.sampled_from([1, 1.0, 2**53 + 1, 2.0**53, 2**60, 2.0**60, -0.0, 0, 0.0, True, None, "1"]),
+}
+
+
+@st.composite
+def _records(draw, max_rows=12):
+    """A list of rows; every row of one width and each column of one kind,
+    or (less often) with ragged or empty rows."""
+    shape = draw(st.sampled_from(["record", "record", "record", "ragged", "empty"]))
+    if shape == "empty":
+        return [[] for _ in range(draw(st.integers(1, 3)))]
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_SCALARS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(_COLUMN_SCALARS[k] for k in kinds)).map(list), min_size=1, max_size=max_rows))
+    if shape == "ragged":
+        rows.append(draw(st.lists(_SCALARS, max_size=len(kinds) + 2).filter(lambda r: len(r) != len(kinds))))
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+@st.composite
+def _record_documents(draw):
+    """Record lists at the top and inside a dict and a tuple that each recur
+    at two depths, so their texts are captured around the record lists."""
+    records = draw(_records())
+    holder = {"triplets": records, "n": draw(_SCALARS)}
+    row = (draw(_records()), draw(_SCALARS))
+    return {
+        "records": records,
+        "holders": [holder, row, holder, row, holder],
+        "deeper": {"again": [holder, row, [holder, row, holder]], "row": row},
+        "tail": [row, holder],
+    }
+
+
+@st.composite
+def _partly_kept_lists(draw):
+    """Lists of dicts and tuples at one depth, where the items met twice
+    before a list have kept text and the others do not."""
+    pool = draw(st.lists(st.one_of(
+        st.dictionaries(st.text(max_size=3), _SCALARS, min_size=1, max_size=3),
+        st.lists(_SCALARS, min_size=1, max_size=3).map(tuple),
+    ), min_size=1, max_size=6))
+    pick = st.sampled_from(range(len(pool)))
+    return [
+        [pool[i] for i in draw(st.lists(pick, min_size=1, max_size=12))] + [draw(_VALUES)]
+        for _ in range(draw(st.integers(2, 5)))
+    ]
+
+
 class TestCanonicalEncoder:
     @given(_documents())
     @settings(max_examples=150, deadline=None)
@@ -220,14 +278,54 @@ class TestCanonicalEncoder:
     def test_matches_reference_on_plain_values(self, value):
         assert dumps_canonical(value) == _dumps_reference(value)
 
+    @given(_record_documents(), st.sampled_from([2, 3, _CanonicalEncoder.FLUSH_PIECES]))
+    @settings(max_examples=200, deadline=None)
+    def test_record_lists_match_reference(self, doc, flush_pieces):
+        chunks = []
+        with mock.patch.object(_CanonicalEncoder, "FLUSH_PIECES", flush_pieces):
+            _encode_canonical(doc, chunks.append)
+        assert "".join(chunks) == _dumps_reference(doc)
+
+    def test_record_list_longer_than_a_chunk(self):
+        # three chunks of rows, with repeated weights, written between flushes
+        rows = [[r, r % 3, [0.25, -0.0, 1.0 / 3.0][r % 3], ["structural", "free"][r % 2]] for r in range(11)]
+        chunks = []
+        with mock.patch.object(_CanonicalEncoder, "FLUSH_PIECES", 4):
+            _encode_canonical({"triplets": rows}, chunks.append)
+        assert len(chunks) >= 3
+        assert "".join(chunks) == _dumps_reference({"triplets": rows})
+
+    @pytest.mark.parametrize("rows", [
+        [[2**53 + 1, 2.0**53], [2.0**53, 2**53 + 1]],
+        [[1, 1.0], [1.0, 1], [True, -0.0]],
+        [[-0.0], [0.0], [-0.0], [0]],
+        [[2.0**60], [2**60], [2.0**60]],
+    ], ids=["beyond_2_53", "one", "signed_zero", "2_60"])
+    def test_equal_ints_and_floats_keep_their_texts(self, rows):
+        assert dumps_canonical(rows) == _dumps_reference(rows)
+
+    @given(_partly_kept_lists(), st.sampled_from([2, _CanonicalEncoder.FLUSH_PIECES]))
+    @settings(max_examples=150, deadline=None)
+    def test_partly_kept_lists_match_reference(self, doc, flush_pieces):
+        chunks = []
+        with mock.patch.object(_CanonicalEncoder, "FLUSH_PIECES", flush_pieces):
+            _encode_canonical(doc, chunks.append)
+        assert "".join(chunks) == _dumps_reference(doc)
+
     @pytest.mark.parametrize("bad", [[1.0, float("inf")], {"a": [float("nan")]}, [2, -float("inf")]])
     def test_non_finite_numbers_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
             dumps_canonical(bad)
 
     def test_encoding_leaves_no_cyclic_garbage(self):
-        # a reference cycle would keep every output piece alive until a collection
-        doc = {"rows": [[float(i), -0.0, 1] for i in range(50)], "shared": [{"a": "free"}] * 3}
+        # a reference cycle would keep every output piece alive until a collection;
+        # the document takes each list path: record rows (repeated weights too),
+        # items mostly without and mostly with kept text, and plain scalars
+        act = {"a": "free"}
+        doc = {
+            "rows": [[float(i), -0.0, 1, ("free", None, True)[i % 3]] for i in range(50)],
+            "shared": [[act] * 3, [act] * 6 + [{"b": 1}], [2.5, "x"]],
+        }
         gc.collect()
         gc.disable()
         try:
@@ -480,6 +578,31 @@ class TestValidationOnLoad:
         assert (code, out) == (1, "")
         assert "Traceback" not in err
 
+    def test_file_that_is_not_utf8_rejected(self, tmp_path):
+        # used to end in a UnicodeDecodeError traceback
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + (FIXTURES / "three_segment_kan.json").read_text().encode("utf-16-le"))
+        with pytest.raises(ParseError, match="UTF-8"):
+            load(path)
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "UTF-8" in err
+
+    def test_duplicate_sparse_triplet_rejected(self, tmp_path):
+        # the last of two triplets for one entry used to win silently
+        doc = json.loads((FIXTURES / "three_segment_mlp_sparse.json").read_text())
+        triplets = doc["payload"]["layers"][0]["weight_sparse"]["triplets"]
+        triplets.append(triplets[0][:2] + [99.0, triplets[0][3]])
+        index = len(triplets) - 1
+        field = f"payload.layers[0].weight_sparse.triplets[{index}]"
+        with pytest.raises(ParseError, match=rf"{re.escape(field)}: duplicate entry for row 0, column 0"):
+            loads_model(json.dumps(doc))
+        path = tmp_path / "duplicate.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out) == (1, "")
+        assert field in err
+
     @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
     def test_grid_row_must_be_a_list(self, kind, tmp_path):
         doc = {"kind": kind, "version": "1", "metadata": {},
@@ -528,6 +651,20 @@ class TestCliExitCodes:
         bad.write_text("{}")
         code, _, _ = run_cli(["eval", bad, "--input", "1"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", FIXTURES / "three_segment_kan.json", "{dir}", "--to", "mlp"],
+        ["eval", "{dir}", "--input", "1"],
+        ["fingerprint", FIXTURES / "pyramid_kan.json", "--box", "-1", "1", "-1", "1", "--out", "{dir}"],
+        ["regions", FIXTURES / "three_segment_kan.json", "--out", "{dir}"],
+    ], ids=["convert_output", "eval_model", "fingerprint_out", "regions_out"])
+    def test_directory_path_exits_one(self, argv, tmp_path):
+        # each used to end in an IsADirectoryError traceback
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli([str(tmp_path) if a == "{dir}" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "directory" in err.lower()
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_eval_wrong_arity_exits_two(self):
         code, _, _ = run_cli(["eval", FIXTURES / "three_segment_kan.json",
