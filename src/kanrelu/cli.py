@@ -7,6 +7,7 @@ models of the wrong dimension or kind).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -121,6 +122,9 @@ def _cmd_eval(args) -> int:
     except ValueError:
         print(f"could not parse --input {args.input!r}", file=sys.stderr)
         return USAGE_ERROR
+    if not all(map(math.isfinite, point)):
+        print(f"eval --input coordinates must be finite, got {args.input!r}", file=sys.stderr)
+        return USAGE_ERROR
     output = model.evaluate(point)
     if args.json:
         sys.stdout.write(dumps_canonical({"output": list(output)}))
@@ -132,6 +136,9 @@ def _cmd_eval(args) -> int:
 def _cmd_verify(args) -> int:
     if args.samples < 1:
         print(f"verify --samples must be >= 1, got {args.samples}", file=sys.stderr)
+        return USAGE_ERROR
+    if not args.tol >= 0.0:  # also rejects NaN
+        print(f"verify --tol must be >= 0, got {args.tol}", file=sys.stderr)
         return USAGE_ERROR
     a = load(args.a)
     b = load(args.b)

@@ -3,7 +3,10 @@
 All types are immutable value objects.  Evaluation is pure, uses 64-bit
 floats throughout, and sums contributions in ascending input index order so
 results are bit-reproducible, except for the sign of a NaN, which CPython
-does not fix: adding two NaNs may return either one.
+does not fix: adding two NaNs may return either one.  A row whose weights
+are the negations of another row's gets its sum as ``0.0 - s`` from the
+other's sum ``s``: round-to-nearest is symmetric, so each partial sum is
+negated exactly, and an exact zero is ``+0.0`` in both sums.
 """
 from __future__ import annotations
 
@@ -19,8 +22,12 @@ from typing import ClassVar, Iterable, Sequence
 from .errors import DomainError, ShapeError, ValidationError
 
 Vector = tuple[float, ...]
-# (rows of (column, weight) pairs to sum, index of each output row's sum in them)
-SummationRows = tuple[tuple[tuple[tuple[int, float], ...], ...], Sequence[int]]
+_Row = tuple[tuple[int, float], ...]  # (column, weight) pairs
+# (distinct rows, index of each output row's distinct row)
+SummationRows = tuple[tuple[_Row, ...], tuple[int, ...]]
+# (rows to sum, the first ``pairs`` of which also give their negated sums,
+# each output row's (index into the sums then the negated sums, bias))
+GroupedRows = tuple[tuple[_Row, ...], int, Sequence[tuple[int, float]]]
 # (column, first slope, intercept, (breakpoint, slope change) pairs) of a live PL activation
 _PlEntry = tuple[int, float, float, tuple[tuple[float, float], ...]]
 
@@ -491,40 +498,52 @@ class MlpLayer:
             index.append(i)
         return tuple(distinct), tuple(index)
 
-    def summation_rows(self, finite_input: bool) -> SummationRows:
-        """The rows a layer sum must visit, and each output row's index into them.
+    @cached_property
+    def _grouped_rows(self) -> GroupedRows:
+        """``nonzero_rows`` with each ``r`` / ``-r`` pair summed once; built on first use.
+
+        Of a pair, the row whose first weight is positive is kept.  Kept rows
+        with a negated partner come first, so output index ``j >= k`` (``k``
+        kept rows) reads the negation of kept sum ``j - k``.
+        """
+        distinct, index = self.nonzero_rows
+        negated = {row: tuple([(p, -w) for p, w in row]) for row in distinct}
+        paired = [row for row in distinct if row and row[0][1] > 0.0 and negated[row] in negated]
+        summed_with_pairs = set(paired).union(map(negated.get, paired))
+        kept = paired + [row for row in distinct if row not in summed_with_pairs]
+        slot = {row: j for j, row in enumerate(kept)}
+        slot.update((negated[row], len(kept) + j) for j, row in enumerate(paired))
+        slots = [slot[row] for row in distinct]
+        return tuple(kept), len(paired), tuple(zip([slots[i] for i in index], self.bias))
+
+    def summation_rows(self, finite_input: bool) -> GroupedRows:
+        """The rows a layer sum must visit, how many of the first also give
+        their negated sum, and each output row's (sum index, bias).
 
         A sum that starts at ``+0.0`` is never ``-0.0``, so adding a skipped
         ``0.0 * x`` term (``±0.0`` for finite ``x``) would leave it unchanged:
         over finite inputs the nonzero entries give the dense sum bit for
-        bit, and rows with equal nonzero entries give equal sums, so each
-        distinct row is summed once.  ``0.0 * inf`` is NaN, so a non-finite
+        bit, rows with equal nonzero entries give equal sums, and a row of
+        negated entries gives ``0.0 - s``, so each ``r`` / ``-r`` pair of
+        distinct rows is summed once.  ``0.0 * inf`` is NaN, so a non-finite
         input visits every entry of every row.
         """
         if finite_input:
-            return self.nonzero_rows
-        return tuple(tuple(enumerate(row)) for row in self.weight), range(self.n_out)
-
-    @cached_property
-    def _index_bias(self) -> tuple[tuple[int, float], ...]:
-        """Each output row's index into ``nonzero_rows`` paired with its bias; built on first use."""
-        return tuple(zip(self.nonzero_rows[1], self.bias))
+            return self._grouped_rows
+        return tuple(tuple(enumerate(row)) for row in self.weight), 0, tuple(enumerate(self.bias))
 
     def apply(self, x: Sequence[float]) -> Vector:
         v = _as_vector(x, self.n_in, "MlpLayer input")
         # a finite sum means every input is finite; a finite input whose sum
         # overflows takes the ungrouped rows, which give the same bits
-        if math.isfinite(sum(v)):
-            rows, index_bias = self.nonzero_rows[0], self._index_bias
-        else:
-            rows, index = self.summation_rows(False)
-            index_bias = zip(index, self.bias)
+        rows, pairs, index_bias = self.summation_rows(math.isfinite(sum(v)))
         sums = []
         for row in rows:
             acc = 0.0
             for p, w in row:
                 acc += w * v[p]
             sums.append(acc)
+        sums += [0.0 - s for s in sums[:pairs]]
         # the bias goes last, after the shared row sum, as in the dense loop
         if self.activation is Activation.RELU:
             return tuple([y if (y := sums[i] + b) > 0.0 else 0.0 for i, b in index_bias])

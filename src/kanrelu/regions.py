@@ -170,9 +170,10 @@ def _apply_grid(cuts: list[float], forms: list[Forms], grid) -> tuple[list[float
 
 
 def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
-    rows, index = layer.summation_rows(
+    rows, pairs, index_bias = layer.summation_rows(
         _all_finite(chain.from_iterable(chain.from_iterable(forms)))
     )
+    index = [i for i, _ in index_bias]
     new_forms = []
     for interval_forms in forms:
         sums = []
@@ -183,6 +184,7 @@ def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
                 acc_a += w * a
                 acc_b += w * b
             sums.append((acc_a, acc_b))
+        sums += [(0.0 - a, 0.0 - b) for a, b in sums[:pairs]]
         new_forms.append(
             [(a, b + bias) for (a, b), bias in zip(map(sums.__getitem__, index), layer.bias)]
         )

@@ -10,7 +10,7 @@ import contextlib
 import json
 import math
 import os
-from array import array
+import struct
 from collections import defaultdict
 from itertools import compress, repeat
 from operator import is_, itemgetter
@@ -457,15 +457,25 @@ def _overflows(value: int | float) -> bool:
 def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
     """Rows of floats, each distinct row one shared tuple.
 
-    Rows are keyed by the bytes of their doubles, so -0.0 stays apart from 0.0.
+    Rows are keyed by the bytes of their doubles, so -0.0 stays apart from
+    0.0, and a row's float tuple is built only the first time it is seen.
     """
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list of rows")
     rows: dict[bytes, tuple[float, ...]] = {}
     out = []
     for i, row in enumerate(values):
-        row = _floats(row, f"{where}[{i}]")
-        out.append(rows.setdefault(array("d", row).tobytes(), row))
+        try:
+            if type(row) is not list or not _NUMBER.issuperset(map(type, row)):  # bool is not a number here
+                raise TypeError
+            key = struct.pack(f"{len(row)}d", *row)
+        except (TypeError, struct.error):  # struct.error: an integer beyond the float range
+            _floats(row, f"{where}[{i}]")  # raises, naming the entry
+            raise
+        shared = rows.get(key)
+        if shared is None:
+            shared = rows[key] = tuple(map(float, row))  # keeps the parsed float objects
+        out.append(shared)
     return tuple(out)
 
 

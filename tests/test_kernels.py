@@ -3,8 +3,9 @@
 The reference loops below are the dense versions of ``MlpLayer.apply``,
 ``regions._apply_affine`` and ``KanLayer.apply``: they visit every entry
 in ascending index order.  The kernels skip zero weights, sum each distinct
-row of a layer once and skip constant-zero activations, which must not
-change a single output bit, including on infinite and NaN inputs.
+row of a layer once, take a negated row's sum as ``0.0 - s`` and skip
+constant-zero activations, which must not change a single output bit,
+including on infinite and NaN inputs.
 """
 import math
 import random
@@ -135,11 +136,13 @@ def _layers(draw):
         ]
         for q in range(n_out)
     ]
-    # copied rows share one sum in the grouped view; a copy may flip the
-    # sign of its zeros, and every row draws its own bias
+    # copied rows share one sum in the grouped view; a copy may negate
+    # every weight of its source or flip the sign of its zeros, and every
+    # row draws its own bias
     rows = st.integers(0, n_out - 1)
-    for q, src, flip_zeros in draw(st.lists(st.tuples(rows, rows, st.booleans()), max_size=n_out)):
-        weight[q] = [-w if flip_zeros and w == 0.0 else w for w in weight[src]]
+    copies = st.lists(st.tuples(rows, rows, st.booleans(), st.booleans()), max_size=n_out)
+    for q, src, negate, flip_zeros in draw(copies):
+        weight[q] = [-w if negate or (flip_zeros and w == 0.0) else w for w in weight[src]]
     bias = tuple(draw(_WEIGHTS) for _ in range(n_out))
     activation = draw(st.sampled_from([Activation.RELU, Activation.IDENTITY]))
     layer = MlpLayer(weight, bias, activation)
@@ -185,6 +188,50 @@ class TestMlpLayerApply:
         for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0), (INF, 0.0, 1.0)]:
             assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
 
+    def test_negated_rows_share_one_sum(self):
+        # sums that are exactly zero, overflow to ±inf or are subnormal
+        tiny = 5e-324
+        weight = (
+            (1.0, -1.0, 0.0),
+            (-1.0, 1.0, -0.0),
+            (1e308, 1e308, 0.0),
+            (-1e308, -1e308, 0.0),
+            (0.0, tiny, -tiny),
+            (-0.0, -tiny, tiny),
+            (0.0, 0.0, 0.0),
+            (-0.0, -0.0, -0.0),
+            (-2.0, 0.0, 3.0),
+        )
+        bias = (-0.0, -0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 0.0, -0.0)
+        rows, pairs, index_bias = MlpLayer(weight, bias, Activation.IDENTITY).summation_rows(True)
+        assert rows == (
+            ((0, 1.0), (1, -1.0)), ((0, 1e308), (1, 1e308)), ((1, tiny), (2, -tiny)), (), ((0, -2.0), (2, 3.0))
+        )
+        assert pairs == 3
+        assert [j for j, _ in index_bias] == [0, 5, 1, 6, 2, 7, 3, 3, 4]
+        inputs = [
+            (0.5, 0.5, 1.0), (1.0, 1.0, -1.0), (-1.0, -1.0, 0.25), (0.0, 3.0, 1.0), (-0.0, 0.5, 1.0), (1.0, 3.0, -2.0)
+        ]
+        for activation in Activation:
+            layer = MlpLayer(weight, bias, activation)
+            for x in inputs:
+                assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
+            forms = [list(zip(x, reversed(x))) for x in inputs]
+            assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
+        layer = MlpLayer(weight, bias, Activation.IDENTITY)
+        out = layer.apply((0.5, 0.5, 1.0))
+        assert bits(out[:2]) == bits((0.0, 0.0))
+        assert layer.apply((1.0, 1.0, -1.0))[2:4] == (INF, -INF)
+        assert bits(layer.apply((0.0, 3.0, 1.0))[4:6]) == bits((2 * tiny, -2 * tiny))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_conversion_sums_half_the_distinct_hidden_rows(self, seed):
+        kan = random_kan(random.Random(seed), max_width=3, max_depth=3, max_segments=4)
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        for layer in mlp.layers[:-1]:
+            rows, pairs, _ = layer.summation_rows(True)
+            assert 2 * len(rows) == 2 * pairs == len(layer.nonzero_rows[0])
+
     def test_row_view_is_built_on_first_use_only(self, tmp_path):
         kan = random_kan(random.Random(5), input_dim=2, output_dim=1, max_width=3)
         mlp = kan_to_mlp(kan, ConversionMode.EXACT)
@@ -192,7 +239,7 @@ class TestMlpLayerApply:
         count_params_kan(kan), count_params_mlp(mlp), count_params_kan(back)
         for name, model in (("kan", kan), ("mlp", mlp), ("back", back)):
             save(model, tmp_path / f"{name}.json")
-        caches = {Mlp: ("nonzero_rows", "_index_bias"), Kan: ("live_columns", "_pl_rows")}
+        caches = {Mlp: ("nonzero_rows", "_grouped_rows"), Kan: ("live_columns", "_pl_rows")}
 
         def built(model):
             return [name in vars(layer) for layer in model.layers for name in caches[type(model)]]

@@ -35,6 +35,7 @@ from kanrelu import (
     mlp_to_kan,
     save,
 )
+from kanrelu import serialize
 from kanrelu.cli import main
 from kanrelu.serialize import (
     _CanonicalEncoder,
@@ -462,6 +463,19 @@ class TestSharedRows:
         assert weight[4] is weight[5]  # the integer 1 reads as 1.0
         assert repr(mlp_to_kan(loaded)) == repr(mlp_to_kan(by_row))
 
+    def test_dense_row_met_again_is_not_converted_again(self):
+        # each row used to become a float tuple before its bytes were looked up
+        rows = [[0.5, -1.0], [2, 0.0], [0.5, -1.0], [2.0, 0.0], [0.5, -1]] * 20
+        doc = {"kind": "mlp", "version": "1", "metadata": {}, "payload": {"layers": [
+            {"weight": rows, "bias": [0.0] * len(rows), "activation": "identity"},
+        ]}}
+        with mock.patch("kanrelu.serialize._floats", side_effect=serialize._floats) as floats:
+            weight = loads_model(json.dumps(doc)).layers[0].weight
+        assert all(".weight[" not in call.args[1] for call in floats.call_args_list)
+        assert weight[:2] == ((0.5, -1.0), (2.0, 0.0))
+        assert len({id(row) for row in weight}) == 2
+        assert all(type(v) is float for row in weight for v in row)
+
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
     def test_loaded_exact_mlp_shares_rows(self, sparse, tmp_path):
         kan = _kan_of_widths(random.Random(43), (8, 8, 8, 8), 8)
@@ -565,6 +579,21 @@ class TestValidationOnLoad:
         code, out, err = run_cli(["eval", path, "--input", "1"])
         assert (code, out) == (1, "")
         assert field in err
+
+    @pytest.mark.parametrize("row, message", [
+        ([1.0, True], "weight[1][1]: expected a number"),
+        ([1.0, "2"], "weight[1][1]: expected a number"),
+        ([None, 2.0], "weight[1][0]: expected a number"),
+        ([1.0, 10**400], "weight[1][1]: number too large for a float"),
+        ({"a": 1.0}, "weight[1]: expected a list of numbers"),
+        (2.0, "weight[1]: expected a list of numbers"),
+    ], ids=["bool", "string", "null", "overflow", "object", "number"])
+    def test_bad_dense_weight_row_named(self, row, message):
+        doc = json.loads((FIXTURES / "three_segment_mlp.json").read_text())
+        weight = doc["payload"]["layers"][0]["weight"]
+        weight[1] = row
+        with pytest.raises(ParseError, match=re.escape(f"payload.layers[0].{message}")):
+            loads_model(json.dumps(doc))
 
     def test_integer_beyond_digit_limit_rejected(self, tmp_path):
         # Python 3.11+ refuses to parse an integer of more than 4,300 digits
@@ -670,6 +699,24 @@ class TestCliExitCodes:
         code, _, _ = run_cli(["eval", FIXTURES / "three_segment_kan.json",
                               "--input", "1,2"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("model", ALL_FIXTURES, ids=lambda path: path.stem)
+    def test_eval_non_finite_input_exits_two(self, model, value):
+        # a PL KAN exited 1, an MLP printed 0 for nan and a spline KAN printed nan
+        point = ",".join([value] + ["0"] * (load(model).input_dim - 1))
+        code, out, err = run_cli(["eval", model, f"--input={point}"])
+        assert (code, out) == (2, "")
+        assert err == f"eval --input coordinates must be finite, got {point!r}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1e-8", "-inf"])
+    @pytest.mark.parametrize("exact", [[], ["--exact-1d"]], ids=["sampled", "exact_1d"])
+    def test_verify_invalid_tol_exits_two(self, tol, exact):
+        # each used to print "passed: False" with no reason
+        code, out, err = run_cli(["verify", FIXTURES / "three_segment_kan.json",
+                                  FIXTURES / "three_segment_mlp.json", f"--tol={tol}", *exact])
+        assert (code, out) == (2, "")
+        assert "--tol" in err
 
     def test_fingerprint_on_one_input_model_exits_two(self, tmp_path):
         code, _, _ = run_cli(["fingerprint", FIXTURES / "three_segment_kan.json",
