@@ -23,7 +23,7 @@ from .counting import (
     relu_to_kan_param_formula,
     signature_of_kan,
 )
-from .equiv import DEFAULT_SEED, assert_equiv, equiv_exact_1d
+from .equiv import DEFAULT_SEED, _normalize_box, assert_equiv, equiv_exact_1d
 from .errors import (
     DomainError,
     ParseError,
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedDimensionError,
     ValidationError,
 )
-from .regions import exact_regions_1d, grid_fingerprint_2d
+from .regions import _grid_box, exact_regions_1d, grid_fingerprint_2d
 from .serialize import dumps_canonical, load, save, save_canonical
 
 USAGE_ERROR = 2
@@ -140,6 +140,11 @@ def _cmd_verify(args) -> int:
     if not args.tol >= 0.0:  # also rejects NaN
         print(f"verify --tol must be >= 0, got {args.tol}", file=sys.stderr)
         return USAGE_ERROR
+    try:
+        _normalize_box(args.box, 1)
+    except ValidationError as e:
+        print(f"verify --box: {e}", file=sys.stderr)
+        return USAGE_ERROR
     a = load(args.a)
     b = load(args.b)
     if args.exact_1d:
@@ -219,6 +224,11 @@ def _cmd_regions(args) -> int:
 
 
 def _cmd_fingerprint(args) -> int:
+    try:
+        _grid_box(args.box, args.res)
+    except ValidationError as e:
+        print(f"fingerprint --box/--res: {e}", file=sys.stderr)
+        return USAGE_ERROR
     model = load(args.model)
     grid = grid_fingerprint_2d(model, args.box, args.res)
     Path(args.out).write_text(grid.to_csv(), encoding="utf-8")

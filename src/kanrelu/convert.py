@@ -7,9 +7,15 @@ one- or two-segment piecewise linear functions.
 
 Two lowering modes exist.  "exact" spends one shared hidden pair
 (relu(x_p), relu(-x_p)) per input coordinate so the first-segment slope term
-is reproduced on all of R; the result equals the source everywhere.  "paper"
-is the compact single-sided form: one hidden unit per segment, correct only
-where the converted activation's input is nonnegative.
+is reproduced on all of R, up to rounding: like ``Kan.evaluate``, the MLP
+uses the rounded slope changes ``slopes[i+1] - slopes[i]``, and it sums in
+another order.  Both thus miss the exact value of the stored parameters by
+an error that grows with |x|: with 3-decimal slopes at |x| <= 1e9, any two
+of the MLP, ``Kan.evaluate`` and the exact value differ by under 1e-15 * M
+(at most 4e-16 * M measured; M: the network on absolute values with every
+breakpoint passed).  "paper" is the compact single-sided form: one hidden
+unit per segment, correct only where the converted activation's input is
+nonnegative.
 """
 from __future__ import annotations
 
@@ -24,8 +30,9 @@ from .errors import ValidationError
 class ConversionMode(str, Enum):
     """How a KAN layer is lowered to ReLU units.
 
-    ``EXACT`` equals the source layer on all of R.  ``PAPER`` is the compact
-    single-sided form and is only correct for inputs >= 0.
+    ``EXACT`` follows the source layer on all of R, up to the rounding of
+    its slope changes and sums (see the module docstring).  ``PAPER`` is the
+    compact single-sided form and is only correct for inputs >= 0.
     """
 
     EXACT = "exact"

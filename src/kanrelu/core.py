@@ -23,8 +23,6 @@ from .errors import DomainError, ShapeError, ValidationError
 
 Vector = tuple[float, ...]
 _Row = tuple[tuple[int, float], ...]  # (column, weight) pairs
-# (distinct rows, index of each output row's distinct row)
-SummationRows = tuple[tuple[_Row, ...], tuple[int, ...]]
 # (rows to sum, the first ``pairs`` of which also give their negated sums,
 # each output row's (index into the sums then the negated sums, bias))
 GroupedRows = tuple[tuple[_Row, ...], int, Sequence[tuple[int, float]]]
@@ -373,26 +371,28 @@ class KanLayer:
 
 
 @dataclass(frozen=True)
-class _KanChain:
-    """A chain of KAN layers applied left to right, all of ``activation_type``."""
+class _Chain:
+    """Layers applied left to right, each one's outputs feeding the next one's inputs."""
 
-    layers: tuple[KanLayer, ...]
-    activation_type: ClassVar[type] = PiecewiseLinear
+    layers: tuple
+    layer_type: ClassVar[type]
 
     def __post_init__(self) -> None:
         layers = tuple(self.layers)
         object.__setattr__(self, "layers", layers)
-        name, kind = type(self).__name__, self.activation_type
         if not layers:
-            raise ValidationError(f"a {name} needs at least one layer")
+            raise ValidationError(f"{type(self).__name__} needs at least one layer")
         for layer in layers:
-            if not isinstance(layer, KanLayer) or not isinstance(layer.activations[0][0], kind):
-                raise ValidationError(f"{name} layers must be KanLayers of {kind.__name__} activations")
+            self._check_layer(layer)
         for a, b in zip(layers, layers[1:]):
             if a.n_out != b.n_in:
                 raise ValidationError(
                     f"layer widths must chain: {a.n_out} outputs feed {b.n_in} inputs"
                 )
+
+    def _check_layer(self, layer) -> None:
+        if not isinstance(layer, self.layer_type):
+            raise ValidationError(f"{type(self).__name__} layers must be {self.layer_type.__name__}s")
 
     @property
     def input_dim(self) -> int:
@@ -406,6 +406,27 @@ class _KanChain:
     def widths(self) -> tuple[int, ...]:
         return (self.layers[0].n_in,) + tuple(layer.n_out for layer in self.layers)
 
+    def evaluate(self, x: Sequence[float]) -> Vector:
+        """The last layer's outputs at ``x``; the first layer converts ``x`` to floats."""
+        n = self.input_dim
+        if len(x) != n:
+            raise ShapeError(f"{type(self).__name__} input: expected length {n}, got {len(x)}")
+        for layer in self.layers:
+            x = layer.apply(x)
+        return x
+
+
+@dataclass(frozen=True)
+class _KanChain(_Chain):
+    """A chain of KAN layers, all of ``activation_type``."""
+
+    activation_type: ClassVar[type] = PiecewiseLinear
+
+    def _check_layer(self, layer) -> None:
+        kind = self.activation_type
+        if not isinstance(layer, KanLayer) or not isinstance(layer.activations[0][0], kind):
+            raise ValidationError(f"{type(self).__name__} layers must be KanLayers of {kind.__name__} activations")
+
 
 @dataclass(frozen=True)
 class Kan(_KanChain):
@@ -414,15 +435,8 @@ class Kan(_KanChain):
     def max_segments(self) -> int:
         return max(act.segments for layer in self.layers for row in layer.activations for act in row)
 
-    def evaluate(self, x: Sequence[float]) -> Vector:
-        v = _as_vector(x, self.input_dim, "Kan input")
-        for layer in self.layers:
-            v = layer.apply(v)
-        return v
 
-
-def eval_kan(kan: Kan, x: Sequence[float]) -> Vector:
-    return kan.evaluate(x)
+eval_kan = Kan.evaluate  # eval_kan(kan, x) is kan.evaluate(x)
 
 
 class Activation(str, Enum):
@@ -477,44 +491,28 @@ class MlpLayer:
         return len(self.weight)
 
     @cached_property
-    def nonzero_rows(self) -> SummationRows:
-        """The distinct rows of nonzero weights, and each output row's index into them.
-
-        Each distinct row holds the ``(column, weight)`` pairs whose weight
-        is not ``±0.0``, columns ascending, in first-seen row order.  Rows
-        that differ only in ``±0.0`` entries share one distinct row; their
-        biases may differ.  A view derived from ``weight`` on first use, so
-        building, counting and saving a layer never pay for it.
-        """
-        distinct: dict[tuple[tuple[int, float], ...], int] = {}
-        # converted layers repeat row objects: each is grouped by value once
-        by_id: dict[int, int] = {}
-        index = []
-        for row in self.weight:
-            i = by_id.get(id(row))
-            if i is None:
-                nonzero = tuple((p, w) for p, w in enumerate(row) if w != 0.0)
-                i = by_id[id(row)] = distinct.setdefault(nonzero, len(distinct))
-            index.append(i)
-        return tuple(distinct), tuple(index)
-
-    @cached_property
     def _grouped_rows(self) -> GroupedRows:
-        """``nonzero_rows`` with each ``r`` / ``-r`` pair summed once; built on first use.
+        """Each row's ``(column, weight)`` pairs whose weight is not ``±0.0``, with
+        equal rows and each ``r`` / ``-r`` pair summed once; built on first use.
 
         Of a pair, the row whose first weight is positive is kept.  Kept rows
         with a negated partner come first, so output index ``j >= k`` (``k``
         kept rows) reads the negation of kept sum ``j - k``.
         """
-        distinct, index = self.nonzero_rows
+        # converted layers repeat row objects: each drops its ±0.0 entries once
+        nonzero: dict[int, _Row] = {}
+        for row in self.weight:
+            if id(row) not in nonzero:
+                nonzero[id(row)] = tuple([(p, w) for p, w in enumerate(row) if w != 0.0])
+        distinct = dict.fromkeys(nonzero.values())  # first-seen order
         negated = {row: tuple([(p, -w) for p, w in row]) for row in distinct}
         paired = [row for row in distinct if row and row[0][1] > 0.0 and negated[row] in negated]
         summed_with_pairs = set(paired).union(map(negated.get, paired))
         kept = paired + [row for row in distinct if row not in summed_with_pairs]
         slot = {row: j for j, row in enumerate(kept)}
         slot.update((negated[row], len(kept) + j) for j, row in enumerate(paired))
-        slots = [slot[row] for row in distinct]
-        return tuple(kept), len(paired), tuple(zip([slots[i] for i in index], self.bias))
+        slot_of = {key: slot[row] for key, row in nonzero.items()}
+        return tuple(kept), len(paired), tuple(zip([slot_of[id(row)] for row in self.weight], self.bias))
 
     def summation_rows(self, finite_input: bool) -> GroupedRows:
         """The rows a layer sum must visit, how many of the first also give
@@ -551,49 +549,22 @@ class MlpLayer:
 
 
 @dataclass(frozen=True)
-class Mlp:
+class Mlp(_Chain):
     """A feedforward network: ReLU after every affine layer except the last."""
 
-    layers: tuple[MlpLayer, ...]
+    layer_type = MlpLayer
 
     def __post_init__(self) -> None:
-        layers = tuple(self.layers)
-        object.__setattr__(self, "layers", layers)
-        if not layers:
-            raise ValidationError("an MLP needs at least one layer")
-        for a, b in zip(layers, layers[1:]):
-            if a.n_out != b.n_in:
-                raise ValidationError(
-                    f"layer widths must chain: {a.n_out} outputs feed {b.n_in} inputs"
-                )
-        if layers[-1].activation is not Activation.IDENTITY:
+        super().__post_init__()
+        if self.layers[-1].activation is not Activation.IDENTITY:
             raise ValidationError("last layer activation must be identity")
-        for layer in layers[:-1]:
+        for layer in self.layers[:-1]:
             if layer.activation is not Activation.RELU:
                 raise ValidationError("non-last layer activation must be relu")
-
-    @property
-    def input_dim(self) -> int:
-        return self.layers[0].n_in
-
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].n_out
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return (self.layers[0].n_in,) + tuple(layer.n_out for layer in self.layers)
 
     @property
     def hidden_widths(self) -> tuple[int, ...]:
         return tuple(layer.n_out for layer in self.layers[:-1])
 
-    def evaluate(self, x: Sequence[float]) -> Vector:
-        v = _as_vector(x, self.input_dim, "Mlp input")
-        for layer in self.layers:
-            v = layer.apply(v)
-        return v
 
-
-def eval_mlp(mlp: Mlp, x: Sequence[float]) -> Vector:
-    return mlp.evaluate(x)
+eval_mlp = Mlp.evaluate  # eval_mlp(mlp, x) is mlp.evaluate(x)

@@ -113,8 +113,9 @@ def _normalize_box(box, dim: int) -> list[tuple[float, float]]:
     out = []
     for lo, hi in box:
         lo, hi = float(lo), float(hi)
-        if not lo < hi:
-            raise ValidationError("box intervals must have lo < hi")
+        # an infinite bound or extent would make every sample point -inf + u * inf, NaN
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValidationError(f"box intervals must have lo < hi and a finite extent hi - lo, got ({lo!r}, {hi!r})")
         out.append((lo, hi))
     return out
 

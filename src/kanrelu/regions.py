@@ -316,6 +316,17 @@ def _connected_components(ids: list[list[int]], res: int) -> int:
     return count
 
 
+def _grid_box(box: Sequence[float], resolution: int) -> tuple[float, float, float, float]:
+    """``box`` as floats ``(x0, x1, y0, y1)``, once it and ``resolution`` pass ``grid_fingerprint_2d``'s checks."""
+    if resolution < 8:
+        raise ValidationError("resolution must be at least 8")
+    x0, x1, y0, y1 = (float(v) for v in box)
+    # an infinite bound or extent would make the cell centers and gradients NaN
+    if not (x0 < x1 and y0 < y1 and math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValidationError(f"box must have a positive, finite extent in x and in y, got {(x0, x1, y0, y1)!r}")
+    return x0, x1, y0, y1
+
+
 def grid_fingerprint_2d(net, box: Sequence[float], resolution: int) -> RegionGrid:
     """Fingerprint the gradient field of a 2-input network on a box grid.
 
@@ -329,11 +340,7 @@ def grid_fingerprint_2d(net, box: Sequence[float], resolution: int) -> RegionGri
         raise UnsupportedDimensionError(
             f"grid fingerprint needs input dimension 2, got {net.input_dim}"
         )
-    if resolution < 8:
-        raise ValidationError("resolution must be at least 8")
-    x0, x1, y0, y1 = (float(v) for v in box)
-    if not (x0 < x1 and y0 < y1):
-        raise ValidationError("box must have positive extent")
+    x0, x1, y0, y1 = _grid_box(box, resolution)
 
     dx = (x1 - x0) / resolution
     dy = (y1 - y0) / resolution

@@ -538,7 +538,7 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
     if isinstance(doc, dict) and "weight_sparse" in doc:
         sparse = doc["weight_sparse"]
         shape = _need(sparse, "shape", list, f"{where}.weight_sparse")
-        if len(shape) != 2 or any(not isinstance(v, int) or v < 1 for v in shape):
+        if len(shape) != 2 or any(type(v) is not int or v < 1 for v in shape):  # bool is no size
             raise ParseError(f"{where}.weight_sparse.shape: expected two positive integers")
         tagged = _need(sparse, "tagged", bool, f"{where}.weight_sparse")
         rows, cols = shape
@@ -549,7 +549,10 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
             if not isinstance(triplet, list) or len(triplet) != 4:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: expected [row, col, value, tag]")
             r, c, value, tag = triplet
-            if not isinstance(r, int) or not isinstance(c, int) or not (0 <= r < rows and 0 <= c < cols):
+            if type(r) is not int or type(c) is not int:  # bool is no index
+                name, index = ("row", r) if type(r) is not int else ("column", c)
+                raise ParseError(f"{where}.weight_sparse.triplets[{i}]: {name} must be an integer, got {index!r}")
+            if not (0 <= r < rows and 0 <= c < cols):
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: index out of range")
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: value must be a number")

@@ -1,6 +1,7 @@
 """Conversion constructions: block lowering, layer assembly, both directions."""
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -221,6 +222,55 @@ class TestKanToMlp:
             for v, t in zip(row, tags):
                 if t == STRUCTURAL:
                     assert v in (0.0, 1.0, -1.0)
+
+    def test_exact_mode_with_decimal_slopes_is_exact_up_to_rounding(self):
+        # a slope change of 3-decimal slopes rounds, so neither the MLP nor
+        # Kan.evaluate is the exact function of the stored parameters; both
+        # stay within 1e-15 * magnitude of it, as the convert docstring says
+        def exact(kan, x):
+            v = [Fraction(t) for t in x]
+            for layer in kan.layers:
+                out = []
+                for row in layer.activations:
+                    acc = Fraction(0)
+                    for t, act in zip(v, row):
+                        s = [Fraction(a) for a in act.slopes]
+                        acc += s[0] * t + Fraction(act.intercept)
+                        acc += sum((s[i + 1] - s[i]) * (t - Fraction(b))
+                                   for i, b in enumerate(act.breakpoints) if b <= t)
+                    out.append(acc)
+                v = out
+            return v
+
+        def magnitude(kan, x):
+            # the network of absolute values, every breakpoint passed
+            m = [abs(t) for t in x]
+            for layer in kan.layers:
+                m = [sum(abs(act.slopes[0]) * mp + abs(act.intercept)
+                         + sum(abs(act.slopes[i + 1] - act.slopes[i]) * (mp + abs(b))
+                               for i, b in enumerate(act.breakpoints))
+                         for mp, act in zip(m, row)) for row in layer.activations]
+            return m
+
+        rng = random.Random(53)
+        rounded = 0
+        for _ in range(30):
+            kan = random_kan(rng, max_width=4, max_depth=3, max_segments=6)
+            kan = Kan(tuple(
+                KanLayer(tuple(
+                    tuple(PiecewiseLinear(a.breakpoints, tuple(round(s, 3) for s in a.slopes), a.intercept)
+                          for a in row)
+                    for row in layer.activations))
+                for layer in kan.layers))
+            mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+            for _ in range(20):
+                x = tuple(rng.uniform(-1e9, 1e9) for _ in range(kan.input_dim))
+                for k, m, e, size in zip(kan.evaluate(x), mlp.evaluate(x), exact(kan, x), magnitude(kan, x)):
+                    assert abs(m - k) <= 1e-15 * size
+                    assert abs(Fraction(k) - e) <= 1e-15 * size
+                    assert abs(Fraction(m) - e) <= 1e-15 * size
+                    rounded += Fraction(m) != e
+        assert rounded > 0
 
     def test_round_trip_sweep_with_dense_sampling(self):
         # the deep sweep: 10k low-discrepancy points plus kink probes

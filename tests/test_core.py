@@ -186,6 +186,9 @@ class TestKanEval:
             SplineKan((KanLayer(((pl,),)),))
         with pytest.raises(ValidationError, match="KanLayers of PiecewiseLinear"):
             Kan((((pl,),),))
+        for layer in (KanLayer(((pl,),)), "x"):
+            with pytest.raises(ValidationError, match="Mlp layers must be MlpLayers"):
+                Mlp((layer,))
 
 
 class TestMlpEval:

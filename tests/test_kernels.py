@@ -167,7 +167,7 @@ class TestMlpLayerApply:
 
     def test_nonzero_rows_skip_both_zeros(self):
         layer = MlpLayer(((0.0, -0.0, 2.0), (-1.0, 0.0, 0.5)), (0.0, 0.0), Activation.RELU)
-        assert layer.nonzero_rows == ((((2, 2.0),), ((0, -1.0), (2, 0.5))), (0, 1))
+        assert layer.summation_rows(True) == ((((2, 2.0),), ((0, -1.0), (2, 0.5))), 0, ((0, 0.0), (1, 0.0)))
 
     def test_rows_equal_up_to_signed_zeros_share_one_sum(self):
         weight = (
@@ -180,11 +180,12 @@ class TestMlpLayerApply:
             (0.0, 1.5, -2.0),
         )
         layer = MlpLayer(weight, (0.0, 1.0, -3.0, -0.0, 0.25, 1e-300, 0.0), Activation.IDENTITY)
-        distinct, index = layer.nonzero_rows
-        assert distinct == (
+        rows, pairs, index_bias = layer.summation_rows(True)
+        assert rows == (
             ((0, 1.5), (2, -2.0)), (), ((0, 1.5), (2, 2.0)), ((1, 1.5), (2, -2.0))
         )
-        assert index == (0, 1, 0, 1, 2, 0, 3)
+        assert pairs == 0
+        assert index_bias == tuple(zip((0, 1, 0, 1, 2, 0, 3), layer.bias))
         for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0), (INF, 0.0, 1.0)]:
             assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
 
@@ -230,7 +231,8 @@ class TestMlpLayerApply:
         mlp = kan_to_mlp(kan, ConversionMode.EXACT)
         for layer in mlp.layers[:-1]:
             rows, pairs, _ = layer.summation_rows(True)
-            assert 2 * len(rows) == 2 * pairs == len(layer.nonzero_rows[0])
+            distinct = {tuple((p, w) for p, w in enumerate(row) if w != 0.0) for row in layer.weight}
+            assert 2 * len(rows) == 2 * pairs == len(distinct)
 
     def test_row_view_is_built_on_first_use_only(self, tmp_path):
         kan = random_kan(random.Random(5), input_dim=2, output_dim=1, max_width=3)
@@ -239,7 +241,7 @@ class TestMlpLayerApply:
         count_params_kan(kan), count_params_mlp(mlp), count_params_kan(back)
         for name, model in (("kan", kan), ("mlp", mlp), ("back", back)):
             save(model, tmp_path / f"{name}.json")
-        caches = {Mlp: ("nonzero_rows", "_grouped_rows"), Kan: ("live_columns", "_pl_rows")}
+        caches = {Mlp: ("_grouped_rows",), Kan: ("live_columns", "_pl_rows")}
 
         def built(model):
             return [name in vars(layer) for layer in model.layers for name in caches[type(model)]]

@@ -28,7 +28,9 @@ from kanrelu import (
     PiecewiseLinear,
     SplineKan,
     ValidationError,
+    assert_equiv,
     dumps_model,
+    grid_fingerprint_2d,
     kan_to_mlp,
     load,
     loads_model,
@@ -632,6 +634,21 @@ class TestValidationOnLoad:
         assert (code, out) == (1, "")
         assert field in err
 
+    @pytest.mark.parametrize("keys, message", [
+        (("triplets", 0, 0), "triplets[0]: row must be an integer, got True"),
+        (("triplets", 0, 1), "triplets[0]: column must be an integer, got True"),
+        (("shape", 1), "shape: expected two positive integers"),
+    ], ids=["row", "column", "shape"])
+    def test_sparse_bool_index_rejected(self, keys, message):
+        # true used to load as 1: a triplet's row or column, or a layer's width
+        doc = json.loads((FIXTURES / "three_segment_mlp_sparse.json").read_text())
+        container = doc["payload"]["layers"][0]["weight_sparse"]
+        for key in keys[:-1]:
+            container = container[key]
+        container[keys[-1]] = True
+        with pytest.raises(ParseError, match=re.escape(f"payload.layers[0].weight_sparse.{message}")):
+            loads_model(json.dumps(doc))
+
     @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
     def test_grid_row_must_be_a_list(self, kind, tmp_path):
         doc = {"kind": kind, "version": "1", "metadata": {},
@@ -717,6 +734,50 @@ class TestCliExitCodes:
                                   FIXTURES / "three_segment_mlp.json", f"--tol={tol}", *exact])
         assert (code, out) == (2, "")
         assert "--tol" in err
+
+    @pytest.mark.parametrize("box, message", [
+        (["-" + "9" * 309, "9" * 309], "(-inf, inf)"),
+        (["0", "inf"], "(0.0, inf)"),
+        (["-" + "9" * 308, "9" * 308], "(-1e+308, 1e+308)"),
+        (["nan", "1"], "(nan, 1.0)"),
+        (["1", "0"], "(1.0, 0.0)"),
+    ], ids=["infinite", "inf_hi", "overflowing_extent", "nan", "reversed"])
+    def test_verify_box_that_cannot_be_sampled_exits_two(self, box, message, tmp_path):
+        # relu(x) against -6 relu(x) used to pass on the first box: every
+        # sample point was -inf + u * inf, NaN, which the ReLU maps to 0
+        def net(w1, w2):
+            return Mlp((
+                MlpLayer(((w1,),), (0.0,), Activation.RELU),
+                MlpLayer(((w2,),), (0.0,), Activation.IDENTITY),
+            ))
+
+        save(net(1.0, 1.0), tmp_path / "m1.json")
+        save(net(2.0, -3.0), tmp_path / "m2.json")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            assert_equiv(net(1.0, 1.0), net(2.0, -3.0), box=tuple(map(float, box)))
+        code, out, err = run_cli(["verify", tmp_path / "m1.json", tmp_path / "m2.json",
+                                  "--box", *box, "--tol", "1e-4"])
+        assert (code, out) == (2, "")
+        assert err.startswith("verify --box:") and message in err
+
+    @pytest.mark.parametrize("box, res, message", [
+        (["0", "inf", "0", "1"], "8", "(0.0, inf, 0.0, 1.0)"),
+        (["0", "1", "-" + "9" * 308, "9" * 308], "8", "(0.0, 1.0, -1e+308, 1e+308)"),
+        (["0", "1", "nan", "1"], "8", "(0.0, 1.0, nan, 1.0)"),
+        (["1", "0", "0", "1"], "8", "(1.0, 0.0, 0.0, 1.0)"),
+        (["0", "1", "0", "1"], "4", "at least 8"),
+    ], ids=["inf", "overflowing_extent", "nan", "reversed", "res_4"])
+    def test_fingerprint_bad_box_or_resolution_exits_two(self, box, res, message, tmp_path):
+        # the first ended in a ValueError traceback, the others exited 1
+        mlp = kan_to_mlp(load(FIXTURES / "pyramid_kan.json"), ConversionMode.EXACT)
+        save(mlp, tmp_path / "mlp.json")
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            grid_fingerprint_2d(mlp, [float(v) for v in box], int(res))
+        code, out, err = run_cli(["fingerprint", tmp_path / "mlp.json", "--box", *box,
+                                  "--res", res, "--out", tmp_path / "f.csv"])
+        assert (code, out) == (2, "")
+        assert err.startswith("fingerprint --box/--res:") and message in err
+        assert not (tmp_path / "f.csv").exists()
 
     def test_fingerprint_on_one_input_model_exits_two(self, tmp_path):
         code, _, _ = run_cli(["fingerprint", FIXTURES / "three_segment_kan.json",
