@@ -14,7 +14,6 @@ from pathlib import Path
 from .convert import kan_to_mlp, mlp_to_kan
 from .core import Kan, Mlp
 from .counting import (
-    ClassSignature,
     class_embedding_check,
     count_params_kan,
     count_params_mlp,
@@ -22,6 +21,7 @@ from .counting import (
     regions_per_parameter,
     relu_to_kan_param_formula,
     signature_of_kan,
+    signature_of_mlp,
 )
 from .equiv import DEFAULT_SEED, _normalize_box, assert_equiv, equiv_exact_1d
 from .errors import (
@@ -163,6 +163,10 @@ def _cmd_params(args) -> int:
         report = count_params_kan(model)
         formula = kan_to_relu_param_formula(model) if args.formula else None
     elif isinstance(model, Mlp):
+        if args.formula and model.output_dim != 1:
+            raise UnsupportedDimensionError(
+                f"params --paper-formula needs a scalar-output mlp, got output dimension {model.output_dim}"
+            )
         report = count_params_mlp(model)
         formula = relu_to_kan_param_formula(model) if args.formula else None
     else:
@@ -178,39 +182,21 @@ def _cmd_params(args) -> int:
 def _cmd_bounds(args) -> int:
     model = load(args.model)
     if isinstance(model, Kan):
-        if model.output_dim != 1:
-            raise ValidationError("bounds needs a kan with scalar output")
-        widths = list(model.widths[:-1])
-        k = model.max_segments()
-        bound, params = regions_per_parameter(signature_of_kan(model), widths, k)
-        doc = {
-            "family": "kan",
-            "widths": widths,
-            "segments": k,
-            "region_upper_bound": bound,
-            "ratio_bound": bound,
-            "ratio_params": params,
-        }
+        sig, widths = signature_of_kan(model), list(model.widths[:-1])
     elif isinstance(model, Mlp):
-        if model.output_dim != 1:
-            raise ValidationError("bounds needs an mlp with scalar output")
-        hidden = list(model.hidden_widths)
-        sig = ClassSignature(
-            family="relu",
-            depth=len(model.layers),
-            width=max(hidden, default=model.input_dim),
-        )
-        bound, params = regions_per_parameter(sig, [model.input_dim] + hidden)
-        doc = {
-            "family": "relu",
-            "widths": [model.input_dim] + hidden,
-            "region_upper_bound": bound,
-            "ratio_bound": bound,
-            "ratio_params": params,
-        }
+        sig, widths = signature_of_mlp(model), [model.input_dim, *model.hidden_widths]
     else:
         print("bounds supports kan and mlp models", file=sys.stderr)
         return USAGE_ERROR
+    if model.output_dim != 1:
+        raise UnsupportedDimensionError(
+            f"bounds needs a scalar-output model, got output dimension {model.output_dim}"
+        )
+    bound, params = regions_per_parameter(sig, widths)
+    doc = {"family": sig.family, "widths": widths}
+    if sig.family == "kan":
+        doc["segments"] = sig.segment_bound + 1
+    doc.update(region_upper_bound=bound, ratio_bound=bound, ratio_params=params)
     _print_report(doc, args.json)
     return 0
 

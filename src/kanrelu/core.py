@@ -481,6 +481,8 @@ class MlpLayer:
             _check_tags((self.bias_tags,), "bias_tags")
         if self.source_params is not None:
             _check_int(self.source_params, "source_params")
+            if self.source_params < 0:
+                raise ValidationError(f"source_params must be >= 0, got {self.source_params}")
 
     @property
     def n_in(self) -> int:

@@ -12,7 +12,7 @@ conversion-cost formulas describe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .convert import ConversionMode, kan_to_mlp, mlp_to_kan
@@ -29,37 +29,38 @@ class LayerCounts:
 
 @dataclass(frozen=True)
 class ParamReport:
-    """Three-tier parameter counts with a per-layer breakdown.
+    """Three-tier parameter counts, each the sum of a per-layer breakdown.
 
     ``closed_form`` holds the dimensional closed-form prediction when one
     applies (dense scalar-output MLPs, uniform-segment KANs), else None.
     """
 
-    total_entries: int
-    nonzero_entries: int
-    free_entries: int
     per_layer: tuple[LayerCounts, ...]
     closed_form: int | None = None
 
     def __post_init__(self) -> None:
-        if sum(c.total for c in self.per_layer) != self.total_entries:
-            raise ValidationError("per-layer totals must sum to total_entries")
-        if sum(c.nonzero for c in self.per_layer) != self.nonzero_entries:
-            raise ValidationError("per-layer nonzero counts must sum to nonzero_entries")
-        if sum(c.free for c in self.per_layer) != self.free_entries:
-            raise ValidationError("per-layer free counts must sum to free_entries")
+        # free counts come from a file's source_params, so they are checked
         if self.nonzero_entries > self.total_entries or self.free_entries > self.total_entries:
             raise ValidationError("nonzero and free counts cannot exceed total_entries")
+
+    @property
+    def total_entries(self) -> int:
+        return sum(c.total for c in self.per_layer)
+
+    @property
+    def nonzero_entries(self) -> int:
+        return sum(c.nonzero for c in self.per_layer)
+
+    @property
+    def free_entries(self) -> int:
+        return sum(c.free for c in self.per_layer)
 
     def to_dict(self) -> dict:
         return {
             "total_entries": self.total_entries,
             "nonzero_entries": self.nonzero_entries,
             "free_entries": self.free_entries,
-            "per_layer": [
-                {"total": c.total, "nonzero": c.nonzero, "free": c.free}
-                for c in self.per_layer
-            ],
+            "per_layer": [asdict(c) for c in self.per_layer],
             "closed_form": self.closed_form,
         }
 
@@ -90,13 +91,7 @@ def count_params_mlp(m: Mlp) -> ParamReport:
     closed_form = None
     if m.output_dim == 1:
         closed_form = mlp_dense_param_formula(m.input_dim, m.hidden_widths)
-    return ParamReport(
-        total_entries=sum(c.total for c in per_layer),
-        nonzero_entries=sum(c.nonzero for c in per_layer),
-        free_entries=sum(c.free for c in per_layer),
-        per_layer=tuple(per_layer),
-        closed_form=closed_form,
-    )
+    return ParamReport(tuple(per_layer), closed_form)
 
 
 def uniform_segment_count(k: Kan) -> int | None:
@@ -118,13 +113,7 @@ def count_params_kan(k: Kan) -> ParamReport:
     uniform = uniform_segment_count(k)
     if uniform is not None:
         closed_form = 2 * uniform * sum(layer.n_in * layer.n_out for layer in k.layers)
-    return ParamReport(
-        total_entries=sum(c.total for c in per_layer),
-        nonzero_entries=sum(c.nonzero for c in per_layer),
-        free_entries=sum(c.free for c in per_layer),
-        per_layer=tuple(per_layer),
-        closed_form=closed_form,
-    )
+    return ParamReport(tuple(per_layer), closed_form)
 
 
 def relu_to_kan_param_formula(m: Mlp) -> int:
@@ -198,14 +187,11 @@ class ClassSignature:
     def __post_init__(self) -> None:
         if self.family not in ("kan", "relu"):
             raise ValidationError("family must be 'kan' or 'relu'")
+        if (self.segment_bound is None) != (self.family == "relu"):
+            raise ValidationError("segment_bound must be None exactly for the relu family")
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "depth": self.depth,
-            "width": self.width,
-            "segment_bound": self.segment_bound,
-        }
+        return asdict(self)
 
 
 def signature_of_kan(k: Kan) -> ClassSignature:
@@ -222,24 +208,20 @@ def signature_of_mlp(m: Mlp) -> ClassSignature:
     return ClassSignature(family="relu", depth=len(m.layers), width=width)
 
 
-def regions_per_parameter(
-    sig: ClassSignature, widths: Sequence[int], k_segments: int | None = None
-) -> tuple[int, int]:
+def regions_per_parameter(sig: ClassSignature, widths: Sequence[int]) -> tuple[int, int]:
     """Region bound and the matching parameter count, as an exact pair.
 
-    For the kan family the denominator is the published ratio's printed
-    form 2*k*(n_1 + ... + n_L + 1); the full per-activation count is
-    available separately via kan_to_relu_param_formula.
+    For the kan family, with k = sig.segment_bound + 1 segments, the
+    denominator is the published ratio's printed form
+    2*k*(n_1 + ... + n_L + 1); the full per-activation count is available
+    separately via kan_to_relu_param_formula.
     """
     widths = list(widths)
     if sig.family == "relu":
         bound = relu_region_upper_bound(widths[0], widths[1:])
         return bound, mlp_dense_param_formula(widths[0], widths[1:])
-    if k_segments is None:
-        raise ValidationError("kan ratio needs the segment count k")
-    bound = kan_region_upper_bound(widths, k_segments)
-    denominator = 2 * k_segments * (sum(widths[1:]) + 1)
-    return bound, denominator
+    k = sig.segment_bound + 1
+    return kan_region_upper_bound(widths, k), 2 * k * (sum(widths[1:]) + 1)
 
 
 @dataclass(frozen=True)
@@ -263,18 +245,7 @@ class EmbeddingReport:
     reconverted_max_segments: int
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source.to_dict(),
-            "converted": self.converted.to_dict(),
-            "width_bound_satisfied": self.width_bound_satisfied,
-            "depth_bound_satisfied": self.depth_bound_satisfied,
-            "segment_bound_satisfied": self.segment_bound_satisfied,
-            "paper_mode_width": self.paper_mode_width,
-            "exact_mode_width": self.exact_mode_width,
-            "paper_width_limit": self.paper_width_limit,
-            "exact_width_limit": self.exact_width_limit,
-            "reconverted_max_segments": self.reconverted_max_segments,
-        }
+        return asdict(self)
 
 
 def class_embedding_check(k: Kan) -> EmbeddingReport:
@@ -286,7 +257,7 @@ def class_embedding_check(k: Kan) -> EmbeddingReport:
     use activations with at most 2 segments.
     """
     source = signature_of_kan(k)
-    n, kb = source.width, source.segment_bound or 0
+    n, kb = source.width, source.segment_bound
 
     paper_mlp = kan_to_mlp(k, ConversionMode.PAPER)
     exact_mlp = kan_to_mlp(k, ConversionMode.EXACT)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import Kan, Mlp
 from .errors import ShapeError, ValidationError
-from .regions import _midpoint, exact_regions_1d
+from .regions import _close, _midpoint, exact_regions_1d
 
 DEFAULT_SEED = 0
 BREAKPOINT_PROBE_OFFSET = 1e-6
@@ -196,7 +196,7 @@ def _first_unpaired_cut(cuts_a, cuts_b) -> float | None:
     i = j = 0
     while i < len(cuts_a) and j < len(cuts_b):
         a, b = cuts_a[i], cuts_b[j]
-        if abs(a - b) <= CUT_PAIRING_TOL * max(1.0, abs(a), abs(b)):
+        if _close(a, b, CUT_PAIRING_TOL):
             i += 1
             j += 1
         else:

@@ -321,9 +321,14 @@ def _grid_box(box: Sequence[float], resolution: int) -> tuple[float, float, floa
     if resolution < 8:
         raise ValidationError("resolution must be at least 8")
     x0, x1, y0, y1 = (float(v) for v in box)
-    # an infinite bound or extent would make the cell centers and gradients NaN
-    if not (x0 < x1 and y0 < y1 and math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
-        raise ValidationError(f"box must have a positive, finite extent in x and in y, got {(x0, x1, y0, y1)!r}")
+    # an infinite bound or extent would make the cell centers and gradients
+    # NaN, and a subnormal extent a quarter-cell probe step of 0.0
+    steps = ((x1 - x0) / resolution / 4.0, (y1 - y0) / resolution / 4.0)
+    if not all(0.0 < h < math.inf for h in steps):
+        raise ValidationError(
+            "box must have a positive, finite extent in x and in y and a nonzero"
+            f" quarter-cell step at resolution {resolution}, got {(x0, x1, y0, y1)!r}"
+        )
     return x0, x1, y0, y1
 
 
@@ -334,7 +339,8 @@ def grid_fingerprint_2d(net, box: Sequence[float], resolution: int) -> RegionGri
     quarter of the cell size, quantized to 1e-6.  A cell whose forward and
     backward differences disagree has a kink inside its probe cross; such
     boundary cells get id -1 and do not contribute regions, which keeps the
-    estimate a lower bound.
+    estimate a lower bound.  A non-finite gradient (an output that
+    overflows) raises ValidationError naming the cell.
     """
     if net.input_dim != 2:
         raise UnsupportedDimensionError(
@@ -363,19 +369,25 @@ def grid_fingerprint_2d(net, box: Sequence[float], resolution: int) -> RegionGri
             down = net.evaluate((cx, cy - hy))
             fp = []
             pure = True
-            for o in range(len(right)):
-                gx = quantize((right[o] - left[o]) / (2.0 * hx))
-                gy = quantize((up[o] - down[o]) / (2.0 * hy))
-                if gx != quantize((right[o] - center[o]) / hx) or gx != quantize(
-                    (center[o] - left[o]) / hx
-                ):
-                    pure = False
-                if gy != quantize((up[o] - center[o]) / hy) or gy != quantize(
-                    (center[o] - down[o]) / hy
-                ):
-                    pure = False
-                fp.append(gx)
-                fp.append(gy)
+            try:
+                for o in range(len(right)):
+                    gx = quantize((right[o] - left[o]) / (2.0 * hx))
+                    gy = quantize((up[o] - down[o]) / (2.0 * hy))
+                    if gx != quantize((right[o] - center[o]) / hx) or gx != quantize(
+                        (center[o] - left[o]) / hx
+                    ):
+                        pure = False
+                    if gy != quantize((up[o] - center[o]) / hy) or gy != quantize(
+                        (center[o] - down[o]) / hy
+                    ):
+                        pure = False
+                    fp.append(gx)
+                    fp.append(gy)
+            except (ValueError, OverflowError):
+                # round() of an inf raises OverflowError, of a NaN ValueError
+                raise ValidationError(
+                    f"non-finite gradient in grid cell ix={ix}, iy={iy} centered at {(cx, cy)!r}"
+                ) from None
             if pure:
                 key = tuple(fp)
                 row.append(fingerprint_ids.setdefault(key, len(fingerprint_ids)))

@@ -183,12 +183,18 @@ class TestRatios:
 
     def test_kan_ratio_pair_uses_printed_denominator(self):
         sig = ClassSignature(family="kan", depth=2, width=2, segment_bound=2)
-        assert regions_per_parameter(sig, [1, 2], 3) == (81, 2 * 3 * (2 + 1))
+        assert regions_per_parameter(sig, [1, 2]) == (81, 2 * 3 * (2 + 1))
 
     def test_single_segment_kan_bound_is_one(self):
         sig = ClassSignature(family="kan", depth=1, width=3, segment_bound=0)
-        bound, _ = regions_per_parameter(sig, [3, 3], 1)
+        bound, _ = regions_per_parameter(sig, [3, 3])
         assert bound == 1
+
+    @pytest.mark.parametrize("family, segment_bound", [("kan", None), ("relu", 2)])
+    def test_segment_bound_is_set_exactly_for_the_kan_family(self, family, segment_bound):
+        # the segment count k of a kan ratio is segment_bound + 1, so it cannot be missing
+        with pytest.raises(ValidationError, match="segment_bound"):
+            ClassSignature(family=family, depth=1, width=1, segment_bound=segment_bound)
 
 
 class TestEmbedding:

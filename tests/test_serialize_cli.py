@@ -542,7 +542,9 @@ class TestValidationOnLoad:
         {"bias_tags": ("foo",)},
         {"source_params": 2.5},
         {"source_params": True},
-    ], ids=["weight_tag", "bias_tag", "float_source_params", "bool_source_params"])
+        {"source_params": -1},
+    ], ids=["weight_tag", "bias_tag", "float_source_params", "bool_source_params",
+            "negative_source_params"])
     def test_layer_a_file_cannot_hold_is_not_built(self, change):
         # each of these used to build and save, then fail to load
         with pytest.raises(ValidationError):
@@ -766,9 +768,11 @@ class TestCliExitCodes:
         (["0", "1", "nan", "1"], "8", "(0.0, 1.0, nan, 1.0)"),
         (["1", "0", "0", "1"], "8", "(1.0, 0.0, 0.0, 1.0)"),
         (["0", "1", "0", "1"], "4", "at least 8"),
-    ], ids=["inf", "overflowing_extent", "nan", "reversed", "res_4"])
+        (["0", "5e-324", "0", "1"], "8", "(0.0, 5e-324, 0.0, 1.0)"),
+    ], ids=["inf", "overflowing_extent", "nan", "reversed", "res_4", "subnormal_extent"])
     def test_fingerprint_bad_box_or_resolution_exits_two(self, box, res, message, tmp_path):
-        # the first ended in a ValueError traceback, the others exited 1
+        # the first ended in a ValueError traceback, the subnormal extent in a
+        # ZeroDivisionError traceback, the others exited 1
         mlp = kan_to_mlp(load(FIXTURES / "pyramid_kan.json"), ConversionMode.EXACT)
         save(mlp, tmp_path / "mlp.json")
         with pytest.raises(ValidationError, match=re.escape(message)):
@@ -778,6 +782,46 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("fingerprint --box/--res:") and message in err
         assert not (tmp_path / "f.csv").exists()
+
+    def test_fingerprint_with_overflowing_output_exits_one(self, tmp_path):
+        # relu(1e200 * x0) * 1e200 is +inf for x0 > 0, so its gradient is
+        # inf or NaN; this ended in a ValueError traceback
+        big = Mlp((
+            MlpLayer(((1e200, 0.0),), (0.0,), Activation.RELU),
+            MlpLayer(((1e200,),), (0.0,), Activation.IDENTITY),
+        ))
+        with pytest.raises(ValidationError, match="non-finite gradient in grid cell"):
+            grid_fingerprint_2d(big, (-1.0, 1.0, -1.0, 1.0), 8)
+        save(big, tmp_path / "big.json")
+        code, out, err = run_cli(["fingerprint", tmp_path / "big.json", "--box", "-1", "1",
+                                  "-1", "1", "--res", "8", "--out", tmp_path / "f.csv"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: non-finite gradient in grid cell")
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("argv, model", [
+        (["bounds"], "kan"),
+        (["bounds"], "mlp"),
+        (["params", "--paper-formula"], "mlp"),
+    ], ids=["bounds_kan", "bounds_mlp", "paper_formula_mlp"])
+    def test_non_scalar_output_exits_two(self, argv, model, tmp_path):
+        # each exited 1, although a wrong output dimension is a usage error
+        kan = random_kan(random.Random(5), input_dim=1, output_dim=2, max_width=2,
+                         max_depth=2, max_segments=3)
+        save(kan, tmp_path / "kan.json")
+        save(kan_to_mlp(kan, ConversionMode.EXACT), tmp_path / "mlp.json")
+        code, out, err = run_cli([*argv, tmp_path / f"{model}.json"])
+        assert (code, out) == (2, "")
+        assert "scalar-output" in err and "output dimension 2" in err
+
+    def test_free_count_beyond_total_exits_one(self, tmp_path):
+        doc = json.loads((FIXTURES / "three_segment_mlp.json").read_text())
+        doc["payload"]["layers"][0]["source_params"] = 10**6
+        path = tmp_path / "inflated.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["params", path])
+        assert (code, out) == (1, "")
+        assert "cannot exceed" in err
 
     def test_fingerprint_on_one_input_model_exits_two(self, tmp_path):
         code, _, _ = run_cli(["fingerprint", FIXTURES / "three_segment_kan.json",
