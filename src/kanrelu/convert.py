@@ -8,7 +8,8 @@ one- or two-segment piecewise linear functions.
 Two lowering modes exist.  "exact" spends one shared hidden pair
 (relu(x_p), relu(-x_p)) per input coordinate so the first-segment slope term
 is reproduced on all of R, up to rounding: like ``Kan.evaluate``, the MLP
-uses the rounded slope changes ``slopes[i+1] - slopes[i]``, and it sums in
+uses the rounded slope changes ``slopes[i+1] - slopes[i]`` of
+``PiecewiseLinear.kinks``, the one place they are computed, and it sums in
 another order.  Both thus miss the exact value of the stored parameters by
 an error that grows with |x|: with 3-decimal slopes at |x| <= 1e9, any two
 of the MLP, ``Kan.evaluate`` and the exact value differ by under 1e-15 * M
@@ -31,7 +32,8 @@ class ConversionMode(str, Enum):
     """How a KAN layer is lowered to ReLU units.
 
     ``EXACT`` follows the source layer on all of R, up to the rounding of
-    its slope changes and sums (see the module docstring).  ``PAPER`` is the
+    its slope changes, which it reads from ``PiecewiseLinear.kinks``, and of
+    its sums (see the module docstring).  ``PAPER`` is the
     compact single-sided form and is only correct for inputs >= 0.
     """
 
@@ -74,8 +76,8 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
             else:
                 entries.append((len(units), act.slopes[0]))
                 units.append((p, 1.0, 0.0, STRUCTURAL))
-            for i, b in enumerate(act.breakpoints):
-                entries.append((len(units), act.slopes[i + 1] - act.slopes[i]))
+            for b, d in act.kinks:
+                entries.append((len(units), d))
                 units.append((p, 1.0, -b, FREE))
         row_entries.append(entries)
 

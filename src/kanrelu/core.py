@@ -142,7 +142,17 @@ class PiecewiseLinear:
             out.append(out[i] + (self.slopes[i] - self.slopes[i + 1]) * b)
         return tuple(out)
 
-    @property
+    @cached_property
+    def kinks(self) -> tuple[tuple[float, float], ...]:
+        """``(b, slopes[i+1] - slopes[i])`` per breakpoint ``b``; built on first use.
+
+        These rounded slope changes are what ``evaluate``, the ReLU lowering
+        and ``normalize_pl`` read, so each is computed in this one place.
+        """
+        s = self.slopes
+        return tuple((b, s[i + 1] - s[i]) for i, b in enumerate(self.breakpoints))
+
+    @cached_property
     def is_zero(self) -> bool:
         """True when every slope and the intercept are ``±0.0`` and no ``x - b``
         overflows (``0.0 * inf`` is NaN): ``±0.0`` at every finite input."""
@@ -161,11 +171,10 @@ class PiecewiseLinear:
         x = float(x)
         if not math.isfinite(x):
             raise DomainError(f"x must be finite, got {x!r}")
-        slopes = self.slopes
-        y = slopes[0] * x + self.intercept
-        for i, b in enumerate(self.breakpoints):
+        y = self.slopes[0] * x + self.intercept
+        for b, d in self.kinks:
             if b <= x:
-                y += (slopes[i + 1] - slopes[i]) * (x - b)
+                y += d * (x - b)
             else:
                 break
         return y
@@ -176,20 +185,15 @@ class PiecewiseLinear:
 eval_pl = PiecewiseLinear.evaluate  # eval_pl(f, x) is f.evaluate(x)
 
 
-def normalize_pl(f: PiecewiseLinear, tol: float = 0.0) -> PiecewiseLinear:
-    """Merge adjacent segments whose slopes differ by at most ``tol``.
+def normalize_pl(f: PiecewiseLinear) -> PiecewiseLinear:
+    """``f`` without the breakpoints whose slope change in ``f.kinks`` is
+    ``±0.0``: each such breakpoint's two segments merge into one.
 
     Conversions deliberately keep structural breakpoints around; this is the
     explicit cleanup step for callers that want minimal representations.
     """
-    slopes = [f.slopes[0]]
-    breakpoints: list[float] = []
-    for b, s in zip(f.breakpoints, f.slopes[1:]):
-        if abs(s - slopes[-1]) <= tol:
-            continue
-        breakpoints.append(b)
-        slopes.append(s)
-    return PiecewiseLinear(tuple(breakpoints), tuple(slopes), f.intercept)
+    kept = [(b, s) for (b, d), s in zip(f.kinks, f.slopes[1:]) if d != 0.0]
+    return PiecewiseLinear(tuple(b for b, _ in kept), (f.slopes[0], *(s for _, s in kept)), f.intercept)
 
 
 def poly_eval(coeffs: Sequence[float], x: float) -> float:
@@ -247,7 +251,7 @@ class PolySegmentSpline:
     def pieces(self) -> int:
         return len(self.piece_coeffs)
 
-    @property
+    @cached_property
     def is_zero(self) -> bool:
         """True when every coefficient is ``±0.0``: ``±0.0`` at every finite input."""
         return not any(map(any, self.piece_coeffs))
@@ -295,42 +299,21 @@ class KanLayer:
     def live_columns(self) -> tuple[tuple[int, ...], ...]:
         """Per row, the ascending columns whose activation is not ``is_zero``; built on first use.
 
-        ``is_zero`` is asked once per distinct activation object, since
-        converted layers share one object per distinct activation.
+        Converted layers share one object per distinct activation, and each
+        activation caches ``is_zero``, so it is computed once per object.
         """
-        # the layer holds every activation, so ids stay unique
-        zero: dict[int, bool] = {}
-        for row in self.activations:
-            for act in row:
-                if id(act) not in zero:
-                    zero[id(act)] = act.is_zero
-        return tuple(
-            tuple(p for p, act in enumerate(row) if not zero[id(act)]) for row in self.activations
-        )
+        return tuple(tuple(p for p, act in enumerate(row) if not act.is_zero) for row in self.activations)
 
     @cached_property
     def _pl_rows(self) -> tuple[tuple[_PlEntry, ...], ...] | None:
-        """Per row, ``(p, slopes[0], intercept, ((b, slope change at b), ...))``
-        for each live column of a PL layer, None for a spline layer; built on first use.
-
-        Each distinct activation object's entry is built once.
-        """
+        """Per row, ``(p, slopes[0], intercept, kinks)`` for each live column
+        of a PL layer, None for a spline layer; built on first use."""
         if not isinstance(self.activations[0][0], PiecewiseLinear):
             return None
-        consts: dict[int, tuple[float, float, tuple[tuple[float, float], ...]]] = {}
-        rows = []
-        for row, live in zip(self.activations, self.live_columns):
-            entries = []
-            for p in live:
-                act = row[p]
-                c = consts.get(id(act))
-                if c is None:
-                    s = act.slopes
-                    kinks = tuple((b, s[i + 1] - s[i]) for i, b in enumerate(act.breakpoints))
-                    c = consts[id(act)] = (s[0], act.intercept, kinks)
-                entries.append((p, *c))
-            rows.append(tuple(entries))
-        return tuple(rows)
+        return tuple(
+            tuple((p, (act := row[p]).slopes[0], act.intercept, act.kinks) for p in live)
+            for row, live in zip(self.activations, self.live_columns)
+        )
 
     def apply(self, x: Sequence[float]) -> Vector:
         """Row sums in ascending column order, each started at ``+0.0``.

@@ -1,7 +1,8 @@
 """Semantic-equivalence harness for network pairs.
 
 Sampled mode sweeps a Halton low-discrepancy point set over a box plus
-deterministic probes just left and right of every first-layer breakpoint.
+deterministic probes just left and right of every first-layer breakpoint,
+each kept only when it lies in the box.
 Exact 1-D mode compares normalized polyhedral complexes piece by piece and
 is strictly stronger than sampling.
 """
@@ -121,15 +122,19 @@ def _normalize_box(box, dim: int) -> list[tuple[float, float]]:
 
 
 def _probe_points(a, b, box: list[tuple[float, float]]) -> list[tuple[float, ...]]:
+    """The box center moved to just left and right of each first-layer
+    breakpoint in one coordinate, kept only when that coordinate stays in the box."""
     center = tuple(0.5 * (lo + hi) for lo, hi in box)
     probes = []
     for net in (a, b):
         for p, values in first_layer_input_breakpoints(net).items():
+            lo, hi = box[p]
             for v in values:
                 for offset in (-BREAKPOINT_PROBE_OFFSET, BREAKPOINT_PROBE_OFFSET):
-                    point = list(center)
-                    point[p] = v + offset
-                    probes.append(tuple(point))
+                    if lo <= v + offset <= hi:
+                        point = list(center)
+                        point[p] = v + offset
+                        probes.append(tuple(point))
     return probes
 
 

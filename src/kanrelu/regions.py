@@ -323,7 +323,10 @@ def _grid_box(box: Sequence[float], resolution: int) -> tuple[float, float, floa
     x0, x1, y0, y1 = (float(v) for v in box)
     # an infinite bound or extent would make the cell centers and gradients
     # NaN, and a subnormal extent a quarter-cell probe step of 0.0
-    steps = ((x1 - x0) / resolution / 4.0, (y1 - y0) / resolution / 4.0)
+    try:
+        steps = ((x1 - x0) / resolution / 4.0, (y1 - y0) / resolution / 4.0)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError("resolution is too large to convert to a float") from None
     if not all(0.0 < h < math.inf for h in steps):
         raise ValidationError(
             "box must have a positive, finite extent in x and in y and a nonzero"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from kanrelu import Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear, PolySegmentSpline
 from kanrelu.splines import poly_eval
@@ -23,6 +24,18 @@ def random_pl(
             break
     slopes = [rng.uniform(*slope_range) for _ in range(n_seg)]
     return PiecewiseLinear(tuple(breakpoints), tuple(slopes), rng.uniform(*slope_range))
+
+
+# 3-decimal values, most of which no binary float holds exactly
+DECIMALS = st.integers(-3000, 3000).map(lambda n: n / 1000)
+
+
+@st.composite
+def decimal_pls(draw, slopes=DECIMALS) -> PiecewiseLinear:
+    """A PL function with up to five 3-decimal breakpoints and slopes drawn from ``slopes``."""
+    breakpoints = tuple(sorted(draw(st.sets(DECIMALS, max_size=5))))
+    n = len(breakpoints) + 1
+    return PiecewiseLinear(breakpoints, tuple(draw(st.lists(slopes, min_size=n, max_size=n))), draw(DECIMALS))
 
 
 def random_kan(

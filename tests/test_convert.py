@@ -4,6 +4,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanrelu import (
     FREE,
@@ -26,7 +28,7 @@ from kanrelu import (
 from kanrelu.convert import _merge_affine
 from kanrelu.errors import ValidationError
 
-from conftest import random_kan, random_mlp, random_pl
+from conftest import decimal_pls, random_kan, random_mlp, random_pl
 
 
 def _relu(x):
@@ -122,6 +124,20 @@ class TestLayerLowering:
         acts = tuple(PiecewiseLinear((), (1.0,), c) for c in (1.0, 1e-16, 1e-16))
         block = kan_layer_to_relu(KanLayer((acts,)), mode)
         assert block.layers[-1].bias == (1.0,)
+
+    @pytest.mark.parametrize("mode", list(ConversionMode))
+    @given(grid=st.integers(1, 2).flatmap(
+        lambda n_in: st.lists(st.lists(decimal_pls(), min_size=n_in, max_size=n_in), min_size=1, max_size=2)
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_breakpoint_unit_weights_are_the_kinks(self, mode, grid):
+        layer = KanLayer(grid)
+        hidden, out = kan_layer_to_relu(layer, mode).layers
+        # the breakpoint units are the hidden units with a free bias, in row, column, kink order
+        units = [j for j, tag in enumerate(hidden.bias_tags) if tag == FREE]
+        kinks = [(q, d) for q, row in enumerate(layer.activations) for act in row for _b, d in act.kinks]
+        assert len(units) == len(kinks)
+        assert [out.weight[q][j].hex() for j, (q, _d) in zip(units, kinks)] == [d.hex() for _q, d in kinks]
 
     def test_exact_width_law(self, three_segment_pl):
         grid = ((three_segment_pl, three_segment_pl), (three_segment_pl, three_segment_pl))

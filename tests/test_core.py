@@ -1,4 +1,5 @@
 """Core types: construction invariants and exact evaluation."""
+import dataclasses
 import math
 import random
 
@@ -24,7 +25,7 @@ from kanrelu import (
     normalize_pl,
 )
 
-from conftest import random_pl
+from conftest import DECIMALS, decimal_pls, random_pl
 
 
 class TestPiecewiseLinearEval:
@@ -119,7 +120,54 @@ class TestPiecewiseLinearInvariants:
             assert abs(left - right) <= 1e-9 * max(1.0, abs(left), abs(right))
 
 
+def _merge_loop(f):
+    """``normalize_pl`` as it was, a loop over slope pairs at its ``tol=0.0`` default."""
+    slopes = [f.slopes[0]]
+    breakpoints = []
+    for b, s in zip(f.breakpoints, f.slopes[1:]):
+        if abs(s - slopes[-1]) <= 0.0:
+            continue
+        breakpoints.append(b)
+        slopes.append(s)
+    return PiecewiseLinear(tuple(breakpoints), tuple(slopes), f.intercept)
+
+
+def _hex(f):
+    """``f``'s fields as exact text that tells -0.0 from 0.0."""
+    return tuple(map(float.hex, f.breakpoints)), tuple(map(float.hex, f.slopes)), f.intercept.hex()
+
+
+class TestKinks:
+    @given(decimal_pls())
+    @settings(max_examples=200, deadline=None)
+    def test_slope_changes_are_the_rounded_differences(self, f):
+        s = f.slopes
+        assert [(b.hex(), d.hex()) for b, d in f.kinks] == [
+            (b.hex(), (s[i + 1] - s[i]).hex()) for i, b in enumerate(f.breakpoints)
+        ]
+
+    def test_cached_and_read_only(self, three_segment_pl):
+        f = PiecewiseLinear(three_segment_pl.breakpoints, three_segment_pl.slopes)
+        assert "kinks" not in vars(f)
+        assert f.kinks == ((-1.0, 1.0), (1.0, -1.5))
+        assert f.kinks is vars(f)["kinks"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            f.kinks = ()
+
+
 class TestNormalize:
+    # repeated slopes, signed zeros, subnormals and slope changes that overflow
+    _SLOPES = st.one_of(
+        st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308)),
+        st.integers(-3, 3).map(lambda n: n / 10),
+        DECIMALS,
+    )
+
+    @given(decimal_pls(slopes=_SLOPES))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_merge_loop_bit_for_bit(self, f):
+        assert _hex(normalize_pl(f)) == _hex(_merge_loop(f))
+
     def test_merges_equal_slopes(self):
         f = PiecewiseLinear((0.0, 1.0), (1.0, 1.0, 2.0), 0.0)
         g = normalize_pl(f)

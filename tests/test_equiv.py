@@ -89,6 +89,20 @@ class TestSampledEquiv:
         # 10 halton points plus two probes around each of the two kinks per side
         assert report.samples == 10 + 2 * 2 * 2
 
+    def test_probes_outside_the_box_are_dropped(self):
+        # paper mode is only valid for inputs >= 0; the probe left of the
+        # breakpoint at -1.0 lies outside the box and failed the pair
+        grid = ((PiecewiseLinear((-1.0, 1.0), (1.0, 2.0, 0.5), 0.0), PiecewiseLinear((0.5,), (-1.0, 3.0), 0.25)),)
+        kan = Kan((KanLayer(grid),))
+        mlp = kan_to_mlp(kan, ConversionMode.PAPER)
+        report = assert_equiv(kan, mlp, ((0.0, 5.0), (0.0, 5.0)), samples=10)
+        assert report.passed
+        # two probes each around the kinks at 1.0 and 0.5; none around -1.0
+        assert report.samples == 10 + 2 * 2
+        # sample points at a negative first input still show the paper form's limit
+        report = assert_equiv(kan, mlp, ((-0.5, 5.0), (0.0, 5.0)), samples=10)
+        assert not report.passed
+
     def test_first_layer_breakpoints_of_mlp(self, abs_mlp):
         points = first_layer_input_breakpoints(abs_mlp)
         assert points == {0: [0.0, 0.0]} or points == {0: [-0.0, 0.0]} or points == {0: [0.0]}

@@ -444,18 +444,29 @@ class TestSplineKanEvaluate:
             assert bits(out) == bits(full_grid_evaluate(kan, x))
 
     def test_live_columns_ask_each_shared_activation_once(self, monkeypatch):
+        # fresh objects: the shared module-level ones may hold a cached answer
         calls = []
-        plain = PiecewiseLinear.is_zero.fget
 
-        def counted(act):
-            calls.append(act)
-            return plain(act)
+        def counted(plain):
+            def is_zero(act):
+                calls.append(act)
+                return plain(act)
+            return is_zero
 
-        monkeypatch.setattr(PiecewiseLinear, "is_zero", property(counted))
-        zero, relu = _ZERO_PLS[0], _RELUS[PiecewiseLinear]
-        layer = KanLayer(((zero, relu, zero), (relu, zero, relu), (zero, zero, zero)))
-        assert layer.live_columns == ((1,), (0, 2), ())
-        assert len(calls) == 2
+        for kind in (PiecewiseLinear, PolySegmentSpline):
+            cached = vars(kind)["is_zero"]
+            monkeypatch.setattr(cached, "func", counted(cached.func))
+        for zero, relu in [
+            (PiecewiseLinear((), (0.0,), 0.0), PiecewiseLinear((0.0,), (0.0, 1.0), 0.0)),
+            (PolySegmentSpline((), ((0.0,),), 0), PolySegmentSpline((0.0,), ((0.0,), (0.0, 1.0)), 1)),
+        ]:
+            calls.clear()
+            layer = KanLayer(((zero, relu, zero), (relu, zero, relu), (zero, zero, zero)))
+            assert layer.live_columns == ((1,), (0, 2), ())
+            assert calls == [zero, relu]
+            # the answer is cached on the activation, not on the layer
+            assert KanLayer(((relu, zero),)).live_columns == ((0,),)
+            assert len(calls) == 2
 
     def test_lowered_bspline_matches_full_grid_loop(self):
         rng = random.Random(3)

@@ -674,6 +674,16 @@ class TestCliExitCodes:
                               "--tol", "1e-8"])
         assert code == 0
 
+    def test_verify_box_with_a_kink_outside_samples_only_the_box(self, tmp_path):
+        # the paper form is valid on [0, 5]; the probe at -1 - 1e-6 made this exit 1
+        paper = tmp_path / "paper.json"
+        code, _, _ = run_cli(["convert", FIXTURES / "three_segment_kan.json", paper,
+                              "--to", "mlp", "--mode", "paper"])
+        assert code == 0
+        code, out, _ = run_cli(["verify", FIXTURES / "three_segment_kan.json", paper, "--box", "0", "5"])
+        assert code == 0
+        assert "max_abs_error: 0.0" in out
+
     def test_verify_failure_exits_one(self, tmp_path):
         code, _, _ = run_cli(["verify", FIXTURES / "three_segment_kan.json",
                               FIXTURES / "abs_mlp.json", "--tol", "1e-8"])
@@ -769,10 +779,12 @@ class TestCliExitCodes:
         (["1", "0", "0", "1"], "8", "(1.0, 0.0, 0.0, 1.0)"),
         (["0", "1", "0", "1"], "4", "at least 8"),
         (["0", "5e-324", "0", "1"], "8", "(0.0, 5e-324, 0.0, 1.0)"),
-    ], ids=["inf", "overflowing_extent", "nan", "reversed", "res_4", "subnormal_extent"])
+        (["0", "1", "0", "1"], str(10**400), "resolution is too large to convert to a float"),
+    ], ids=["inf", "overflowing_extent", "nan", "reversed", "res_4", "subnormal_extent", "res_beyond_float"])
     def test_fingerprint_bad_box_or_resolution_exits_two(self, box, res, message, tmp_path):
         # the first ended in a ValueError traceback, the subnormal extent in a
-        # ZeroDivisionError traceback, the others exited 1
+        # ZeroDivisionError traceback, the resolution beyond the float range
+        # in an OverflowError traceback, the others exited 1
         mlp = kan_to_mlp(load(FIXTURES / "pyramid_kan.json"), ConversionMode.EXACT)
         save(mlp, tmp_path / "mlp.json")
         with pytest.raises(ValidationError, match=re.escape(message)):
