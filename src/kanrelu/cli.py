@@ -140,6 +140,9 @@ def _cmd_verify(args) -> int:
     if not args.tol >= 0.0:  # also rejects NaN
         print(f"verify --tol must be >= 0, got {args.tol}", file=sys.stderr)
         return USAGE_ERROR
+    if args.seed < 0:
+        print(f"verify --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         _normalize_box(args.box, 1)
     except ValidationError as e:

@@ -7,6 +7,20 @@ does not fix: adding two NaNs may return either one.  A row whose weights
 are the negations of another row's gets its sum as ``0.0 - s`` from the
 other's sum ``s``: round-to-nearest is symmetric, so each partial sum is
 negated exactly, and an exact zero is ``+0.0`` in both sums.
+
+A layer that keeps being evaluated is compiled into a kernel: one Python
+function built once from generated straight-line source that does the float
+operations of the layer's loop, in the same order, so every output bit is
+the loop's.  It saves the loop's interpreter overhead: one point through the
+4-88-88-88-4 MLP of a converted 4/3/6 KAN takes about 28 µs compiled against
+52-68 µs in the loop (1 CPU, Python 3.11).  Compiling costs 20-50 µs per
+unit of straight-line size against about 0.1 µs per unit for one
+interpreted apply, so a layer is compiled only after ``KERNEL_AFTER``
+applies at a finite input, and only when its size is at most
+``KERNEL_MAX_UNITS``, which covers every layer of an exact conversion up to
+a 16/3/8 KAN (4,128 units at most) and leaves out the 66,816-unit hidden
+layers of a round-tripped 8/3/8 KAN.  Non-finite inputs, inputs whose sum
+overflows and spline layers always take the loop.
 """
 from __future__ import annotations
 
@@ -17,7 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from typing import ClassVar, Iterable, Sequence
+from typing import Callable, ClassVar, Iterable, Sequence
 
 from .errors import DomainError, ShapeError, ValidationError
 
@@ -37,6 +51,13 @@ _FLOAT = frozenset((float,))
 
 MAX_DEGREE = 5
 CONTINUITY_REL_TOL = 1e-9
+
+# a layer is compiled after this many applies at a finite input ...
+KERNEL_AFTER = 256
+# ... when its straight-line size is at most this many units
+KERNEL_MAX_UNITS = 8192
+# at most this many terms per generated statement, so no expression nests deeply
+_KERNEL_TERMS = 64
 
 
 def _finite_floats(values: Iterable[float], name: str) -> tuple[float, ...]:
@@ -99,6 +120,64 @@ def _as_vector(x: Sequence[float], expected: int, what: str) -> Vector:
     if type(x) is tuple and _FLOAT.issuperset(map(type, x)):
         return x
     return tuple(map(float, x))
+
+
+_Kernel = Callable[[Vector], Vector]
+
+
+def _build_kernel(body: Iterable[str]) -> _Kernel:
+    """The function ``kernel(v)`` whose body is the generated lines ``body``.
+
+    The lines hold only ``repr`` of finite floats, integer indices and
+    generated names.  The source runs with its own globals, which have no
+    builtins, and its own locals, so the function and its namespaces form no
+    reference cycle and are freed with the layer that holds the function.
+    """
+    source = "def kernel(v):\n" + "".join(f" {line}\n" for line in body)
+    namespace: dict = {}
+    exec(compile(source, "<kanrelu kernel>", "exec"), {"__builtins__": {}}, namespace)
+    return namespace["kernel"]
+
+
+def _loads(columns: Iterable[int]) -> list[str]:
+    """A local ``x{p} = v[p]`` per column ``p`` a kernel reads, ascending."""
+    return [f"x{p} = v[{p}]" for p in sorted(set(columns))]
+
+
+def _returns(name: str, count: int) -> str:
+    return "return (" + "".join(f"{name}{i}, " for i in range(count)) + ")"
+
+
+class _Compiled:
+    """Tiered compilation for a layer type with ``_kernel_units`` (its
+    straight-line size, None for a layer with no kernel) and
+    ``_kernel_lines`` (the kernel body): the loop serves until
+    ``KERNEL_AFTER`` finite applies, then the kernel, if the layer is small
+    enough to compile.
+
+    The call count and the kernel sit in the instance ``__dict__`` beside
+    its cached row views, and are neither compared nor pickled.  Two threads
+    racing on the count may at worst both compile; either kernel is right.
+    """
+
+    def _finite_kernel(self) -> _Kernel | None:
+        """The kernel for a finite input, counting this call, or None for the loop."""
+        state = vars(self)
+        kernel = state.get("_kernel")
+        if kernel is None:
+            calls = state["_calls"] = state.get("_calls", 0) + 1
+            if calls < KERNEL_AFTER:
+                return None
+            units = self._kernel_units
+            # False: decided, never compiled
+            kernel = state["_kernel"] = (
+                units is not None and units <= KERNEL_MAX_UNITS and _build_kernel(self._kernel_lines())
+            )
+        return kernel or None
+
+    def __getstate__(self) -> dict:
+        # a generated function cannot be pickled; a copy counts afresh
+        return {k: v for k, v in vars(self).items() if k not in ("_kernel", "_calls")}
 
 
 @dataclass(frozen=True)
@@ -264,7 +343,7 @@ class PolySegmentSpline:
 
 
 @dataclass(frozen=True)
-class KanLayer:
+class KanLayer(_Compiled):
     """One KAN layer: an n_out-by-n_in grid of univariate activations.
 
     Output coordinate q is the sum over inputs p of activations[q][p](x_p).
@@ -315,6 +394,26 @@ class KanLayer:
             for row, live in zip(self.activations, self.live_columns)
         )
 
+    @property
+    def _kernel_units(self) -> int | None:
+        """Live activations plus kinks of a PL layer, None for a spline layer."""
+        if self._pl_rows is None:
+            return None
+        return sum(1 + len(kinks) for row in self._pl_rows for _, _, _, kinks in row)
+
+    def _kernel_lines(self) -> list[str]:
+        """``_forward``'s loop over ``_pl_rows``, unrolled: flat ``if``s do
+        what its ``break`` does, as breakpoints strictly increase."""
+        lines = _loads(p for row in self._pl_rows for p, _, _, _ in row)
+        for q, row in enumerate(self._pl_rows):
+            lines.append(f"a{q} = 0.0")
+            for p, slope, intercept, kinks in row:
+                lines.append(f"y = ({slope!r})*x{p} + ({intercept!r})")
+                lines += [f"if ({b!r}) <= x{p}: y += ({d!r})*(x{p} - ({b!r}))" for b, d in kinks]
+                lines.append(f"a{q} += y")
+        lines.append(_returns("a", self.n_out))
+        return lines
+
     def apply(self, x: Sequence[float]) -> Vector:
         """Row sums in ascending column order, each started at ``+0.0``.
 
@@ -324,10 +423,16 @@ class KanLayer:
         input is finite; otherwise every activation is visited, where a PL
         one raises ``DomainError`` at a non-finite input and a spline gives
         NaN.  A PL layer evaluates ``_pl_rows`` with the operations of
-        ``PiecewiseLinear.evaluate``, in the same order.
+        ``PiecewiseLinear.evaluate``, in the same order, in a loop or in its
+        compiled kernel.
         """
-        v = _as_vector(x, self.n_in, "KanLayer input")
+        return self._forward(_as_vector(x, self.n_in, "KanLayer input"))
+
+    def _forward(self, v: Vector) -> Vector:
+        """``apply`` on a float tuple of length ``n_in``."""
         finite = math.isfinite(sum(v))
+        if finite and (kernel := self._finite_kernel()) is not None:
+            return kernel(v)
         if finite and self._pl_rows is not None:
             out = []
             for row in self._pl_rows:
@@ -390,12 +495,14 @@ class _Chain:
         return (self.layers[0].n_in,) + tuple(layer.n_out for layer in self.layers)
 
     def evaluate(self, x: Sequence[float]) -> Vector:
-        """The last layer's outputs at ``x``; the first layer converts ``x`` to floats."""
-        n = self.input_dim
-        if len(x) != n:
-            raise ShapeError(f"{type(self).__name__} input: expected length {n}, got {len(x)}")
+        """The last layer's outputs at ``x``, converted to floats once.
+
+        Each layer's ``_forward`` takes the float tuple its predecessor
+        returned, so no intermediate is checked or converted again.
+        """
+        x = _as_vector(x, self.input_dim, f"{type(self).__name__} input")
         for layer in self.layers:
-            x = layer.apply(x)
+            x = layer._forward(x)
         return x
 
 
@@ -428,7 +535,7 @@ class Activation(str, Enum):
 
 
 @dataclass(frozen=True)
-class MlpLayer:
+class MlpLayer(_Compiled):
     """One affine layer of an MLP plus the activation applied after it.
 
     ``weight_tags``/``bias_tags`` mark entries as "structural" (a constant
@@ -515,11 +622,44 @@ class MlpLayer:
             return self._grouped_rows
         return tuple(tuple(enumerate(row)) for row in self.weight), 0, tuple(enumerate(self.bias))
 
+    @property
+    def _kernel_units(self) -> int:
+        """Grouped nonzero weights plus outputs."""
+        return sum(map(len, self._grouped_rows[0])) + self.n_out
+
+    def _kernel_lines(self) -> list[str]:
+        """``_forward``'s loop over the grouped rows, unrolled; a long row
+        is summed in statements of at most ``_KERNEL_TERMS`` terms."""
+        rows, pairs, index_bias = self._grouped_rows
+        lines = _loads(p for row in rows for p, _ in row)
+        for j, row in enumerate(rows):
+            acc = "0.0"
+            for start in range(0, len(row), _KERNEL_TERMS):
+                terms = "".join(f" + ({w!r})*x{p}" for p, w in row[start:start + _KERNEL_TERMS])
+                lines.append(f"s{j} = {acc}{terms}")
+                acc = f"s{j}"
+            if not row:
+                lines.append(f"s{j} = 0.0")
+        lines += [f"s{len(rows) + j} = 0.0 - s{j}" for j in range(pairs)]
+        for i, (j, b) in enumerate(index_bias):
+            lines.append(f"o{i} = s{j} + ({b!r})")
+            if self.activation is Activation.RELU:
+                lines.append(f"o{i} = o{i} if o{i} > 0.0 else 0.0")
+        lines.append(_returns("o", self.n_out))
+        return lines
+
     def apply(self, x: Sequence[float]) -> Vector:
-        v = _as_vector(x, self.n_in, "MlpLayer input")
+        return self._forward(_as_vector(x, self.n_in, "MlpLayer input"))
+
+    def _forward(self, v: Vector) -> Vector:
+        """``apply`` on a float tuple of length ``n_in``: the compiled kernel
+        or the loop, with the same bits."""
         # a finite sum means every input is finite; a finite input whose sum
         # overflows takes the ungrouped rows, which give the same bits
-        rows, pairs, index_bias = self.summation_rows(math.isfinite(sum(v)))
+        finite = math.isfinite(sum(v))
+        if finite and (kernel := self._finite_kernel()) is not None:
+            return kernel(v)
+        rows, pairs, index_bias = self.summation_rows(finite)
         sums = []
         for row in rows:
             acc = 0.0

@@ -74,10 +74,13 @@ def halton_points(dim: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple[
 
     The seed offsets the start index of the sequence, so reports are
     reproducible and a different seed gives a fresh but still deterministic
-    sweep.
+    sweep.  A negative seed raises ``ValidationError``.
     """
+    seed = int(seed)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     bases = _first_primes(dim)
-    start = 1 + max(0, int(seed))
+    start = 1 + seed
     return [
         tuple(_radical_inverse(base, start + i) for base in bases)
         for i in range(count)
@@ -144,6 +147,7 @@ def assert_equiv(a, b, box, samples: int = 1000, tol: float = 1e-8, seed: int = 
     The error metric is |a(x) - b(x)| / (1 + max(|a(x)|, |b(x)|)) per output
     coordinate, so the tolerance is meaningful across output magnitudes.
     Ties on the worst point go to the lexicographically smallest point.
+    A negative ``seed`` raises ``ValidationError``, as in ``halton_points``.
     """
     if a.input_dim != b.input_dim or a.output_dim != b.output_dim:
         raise ShapeError(

@@ -13,6 +13,7 @@ from kanrelu import (
     MlpLayer,
     PiecewiseLinear,
     ShapeError,
+    ValidationError,
     assert_equiv,
     equiv_exact_1d,
     halton_points,
@@ -29,6 +30,15 @@ class TestHalton:
 
     def test_seed_shifts_sequence(self):
         assert halton_points(1, 5, seed=0) != halton_points(1, 5, seed=3)
+
+    @pytest.mark.parametrize("seed", [-1, -7])
+    def test_negative_seed_raises(self, seed):
+        # it used to start at seed 0's first point, the same sweep
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            halton_points(2, 2, seed)
+        kan = Kan((KanLayer(((PiecewiseLinear((0.0,), (0.0, 1.0)),),)),))
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            assert_equiv(kan, kan, (-1.0, 1.0), samples=4, seed=seed)
 
     def test_points_in_unit_box(self):
         for point in halton_points(4, 200):

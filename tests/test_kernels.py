@@ -5,11 +5,19 @@ The reference loops below are the dense versions of ``MlpLayer.apply``,
 in ascending index order.  The kernels skip zero weights, sum each distinct
 row of a layer once, take a negated row's sum as ``0.0 - s`` and skip
 constant-zero activations, which must not change a single output bit,
-including on infinite and NaN inputs.
+including on infinite and NaN inputs.  The compiled kernels, the generated
+straight-line functions a layer switches to after ``KERNEL_AFTER`` finite
+applies, are checked against the same loops, and so is their tiering.
 """
+import copy
+import gc
 import math
+import pickle
 import random
 import struct
+import sys
+import threading
+import weakref
 from itertools import chain
 from unittest import mock
 
@@ -41,7 +49,7 @@ from kanrelu import (
 )
 from kanrelu import core, regions
 
-from conftest import random_kan
+from conftest import DECIMALS, decimal_pls, random_kan, random_pl
 
 INF = math.inf
 NAN = math.nan
@@ -124,14 +132,14 @@ _INPUTS = st.one_of(
 
 
 @st.composite
-def _layers(draw):
+def _layers(draw, weights=_WEIGHTS, inputs=_INPUTS):
     n_in = draw(st.integers(1, 6))
     n_out = draw(st.integers(1, 6))
     zero_rows = draw(st.sets(st.integers(0, n_out - 1)))
     zero_cols = draw(st.sets(st.integers(0, n_in - 1)))
     weight = [
         [
-            draw(st.sampled_from([0.0, -0.0])) if q in zero_rows or p in zero_cols else draw(_WEIGHTS)
+            draw(st.sampled_from([0.0, -0.0])) if q in zero_rows or p in zero_cols else draw(weights)
             for p in range(n_in)
         ]
         for q in range(n_out)
@@ -143,10 +151,10 @@ def _layers(draw):
     copies = st.lists(st.tuples(rows, rows, st.booleans(), st.booleans()), max_size=n_out)
     for q, src, negate, flip_zeros in draw(copies):
         weight[q] = [-w if negate or (flip_zeros and w == 0.0) else w for w in weight[src]]
-    bias = tuple(draw(_WEIGHTS) for _ in range(n_out))
+    bias = tuple(draw(weights) for _ in range(n_out))
     activation = draw(st.sampled_from([Activation.RELU, Activation.IDENTITY]))
     layer = MlpLayer(weight, bias, activation)
-    x = tuple(draw(_INPUTS) for _ in range(n_in))
+    x = tuple(draw(inputs) for _ in range(n_in))
     return layer, x
 
 
@@ -188,6 +196,8 @@ class TestMlpLayerApply:
         assert index_bias == tuple(zip((0, 1, 0, 1, 2, 0, 3), layer.bias))
         for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0), (INF, 0.0, 1.0)]:
             assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
+        for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0)]:
+            assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
 
     def test_negated_rows_share_one_sum(self):
         # sums that are exactly zero, overflow to ±inf or are subnormal
@@ -217,6 +227,7 @@ class TestMlpLayerApply:
             layer = MlpLayer(weight, bias, activation)
             for x in inputs:
                 assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
+                assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
             forms = [list(zip(x, reversed(x))) for x in inputs]
             assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
         layer = MlpLayer(weight, bias, Activation.IDENTITY)
@@ -491,3 +502,249 @@ class TestSplineKanEvaluate:
             assert bits(kan.evaluate(x)) == bits(full_grid_evaluate(kan, x))
         for x in [(INF, 0.0, 1.0), (0.0, NAN, 1.0), (1e308, -1e308, 0.0)]:
             assert outcome(kan.evaluate, x) == outcome(full_grid_evaluate, kan, x)
+
+
+def compiled(layer):
+    """``layer``'s kernel, compiled now, whatever its call count or size."""
+    return core._build_kernel(layer._kernel_lines())
+
+
+def pl_dense_apply(layer, x):
+    return full_grid_evaluate(Kan((layer,)), x)
+
+
+def dense_chain(net, x):
+    reference = dense_apply if isinstance(net, Mlp) else pl_dense_apply
+    for layer in net.layers:
+        x = reference(layer, x)
+    return x
+
+
+def apply_until_compiled(net, x):
+    """Evaluate ``net`` at ``x`` ``KERNEL_AFTER`` times, so every layer has decided."""
+    for _ in range(core.KERNEL_AFTER):
+        out = net.evaluate(x)
+    return out
+
+
+_FINITE = st.one_of(
+    DECIMALS,
+    st.sampled_from([0.0, -0.0, 5e-324, -1e308, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestCompiledKernels:
+    """Each kernel against the dense reference loops, called directly."""
+
+    @given(_layers(weights=st.one_of(_WEIGHTS, DECIMALS), inputs=_FINITE))
+    @settings(max_examples=400, deadline=None)
+    def test_mlp_kernel_matches_dense_loop(self, case):
+        # ±0.0 weights and biases, zero rows, r / -r pairs, repeated rows and
+        # 3-decimal weights; any finite input, also one whose sum overflows
+        layer, x = case
+        assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
+
+    def test_long_rows_are_summed_in_chunks_left_to_right(self):
+        rng = random.Random(4)
+        n_in = 3 * core._KERNEL_TERMS + 5
+        weight = [[rng.uniform(0.5, 1.0) for _ in range(n_in)]]
+        weight += [[rng.choice([0.0, rng.uniform(-1.0, 1.0), round(rng.uniform(-3, 3), 3)]) for _ in range(n_in)]
+                   for _ in range(2)]
+        weight.append([-w for w in weight[0]])
+        layer = MlpLayer(weight, (0.5, -0.0, 1e-3, 0.0), Activation.RELU)
+        lines = layer._kernel_lines()
+        assert sum(line.startswith("s0 = s0 + ") for line in lines) == 3
+        for _ in range(20):
+            x = tuple(rng.uniform(-1e3, 1e3) for _ in range(n_in))
+            assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pl_kernel_matches_dense_loop_on_breakpoints(self, data):
+        n_in, n_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        acts = st.one_of(decimal_pls(), decimal_pls(slopes=st.sampled_from([0.0, -0.0])), st.sampled_from(_ZERO_PLS))
+        layer = KanLayer([[data.draw(acts) for _ in range(n_in)] for _ in range(n_out)])
+        # each coordinate on one of its column's breakpoints, or anywhere
+        x = tuple(
+            data.draw(st.one_of(st.sampled_from(points), _FINITE) if (points := sorted(
+                {b for row in layer.activations for b in row[p].breakpoints})) else _FINITE)
+            for p in range(n_in)
+        )
+        assert outcome(compiled(layer), x) == outcome(pl_dense_apply, layer, x)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(list(ConversionMode)))
+    @settings(max_examples=30, deadline=None)
+    def test_converted_layers_match_dense_loops(self, seed, mode):
+        rng = random.Random(seed)
+        kan = random_kan(rng, max_width=3, max_depth=3, max_segments=4)
+        mlp = kan_to_mlp(kan, mode)
+        x = tuple(rng.uniform(-4.0, 4.0) for _ in range(kan.input_dim))
+        for net, reference in ((kan, pl_dense_apply), (mlp, dense_apply), (mlp_to_kan(mlp), pl_dense_apply)):
+            v = x
+            for layer in net.layers:
+                want = reference(layer, v)
+                assert bits(compiled(layer)(v)) == bits(want)
+                v = want
+
+    def test_overflowing_output_takes_the_loop_in_the_next_layer(self):
+        # finite inputs give finite sums in layer 0, whose outputs overflow
+        big = MlpLayer(((1e308, 1e308), (1.0, -1.0)), (0.0, 0.0), Activation.RELU)
+        zero = MlpLayer(((0.0, 1.0), (-0.0, -1.0), (2.0, 0.0)), (0.0, 1.0, -0.0), Activation.IDENTITY)
+        mlp = Mlp((big, zero))
+        apply_until_compiled(mlp, (0.25, 0.5))
+        assert all(vars(layer)["_kernel"] for layer in mlp.layers)
+        for x in [(1.0, 1.0), (1e308, 0.0), (0.25, 0.5)]:
+            assert bits(mlp.evaluate(x)) == bits(dense_chain(mlp, x))
+        # 0.0 * inf is NaN in the loop; a kernel skipping the zeros would give 0.0 and 1.0
+        assert bits(mlp.evaluate((1.0, 1.0))) == bits((NAN, NAN, INF))
+        grow = KanLayer(((PiecewiseLinear((), (1e308,), 0.0), PiecewiseLinear((), (1e308,), 0.0)),))
+        kan = Kan((grow, KanLayer(((_RELUS[PiecewiseLinear],),))))
+        apply_until_compiled(kan, (0.5, 0.25))
+        assert all(vars(layer)["_kernel"] for layer in kan.layers)
+        with pytest.raises(DomainError, match="inf"):
+            kan.evaluate((1.0, 1.0))
+
+    @pytest.mark.parametrize("x", [(INF, 0.0), (0.0, -INF), (NAN, 1.0), (INF, -INF)], ids=repr)
+    def test_non_finite_input_takes_the_loop(self, x):
+        rng = random.Random(6)
+        kan = random_kan(rng, input_dim=2, output_dim=2, max_width=3, max_depth=2)
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        for net in (kan, mlp):
+            apply_until_compiled(net, (0.5, -0.25))
+            assert all(vars(layer)["_kernel"] for layer in net.layers)
+        with pytest.raises(DomainError):
+            kan.evaluate(x)
+        assert bits(mlp.evaluate(x)) == bits(dense_chain(mlp, x))
+        # no ReLU after the last layer: the NaN of 0.0 * inf shows
+        last = Mlp((MlpLayer(((0.0, 1.0), (1.0, -0.0), (0.5, 0.5)), (0.0, -0.0, 1.0), Activation.IDENTITY),))
+        apply_until_compiled(last, (0.5, -0.25))
+        assert callable(vars(last.layers[0])["_kernel"])
+        got = last.evaluate(x)
+        assert bits(got) == bits(dense_chain(last, x))
+        assert [math.isnan(got[0]), math.isnan(got[1])] == [
+            not math.isfinite(x[0]), not math.isfinite(x[1]) or math.isnan(x[0])
+        ]
+
+
+def _square_kan(width, depth, segments, rng):
+    """A width/depth/segments KAN: ``depth`` layers of ``width`` × ``width`` activations."""
+    return Kan(tuple(
+        KanLayer(tuple(tuple(random_pl(rng, segments=segments) for _ in range(width)) for _ in range(width)))
+        for _ in range(depth)
+    ))
+
+
+class TestTiering:
+    def test_one_evaluate_compiles_nothing(self):
+        kan = _square_kan(8, 3, 8, random.Random(1))
+        for net in (kan, kan_to_mlp(kan, ConversionMode.EXACT), kan_to_mlp(kan, ConversionMode.PAPER)):
+            net.evaluate((0.5,) * 8)
+            assert [vars(layer).get("_calls") for layer in net.layers] == [1] * len(net.layers)
+            assert not any("_kernel" in vars(layer) for layer in net.layers)
+
+    @pytest.mark.parametrize("kind", ["mlp", "kan"])
+    def test_the_kernel_comes_at_the_threshold(self, kind):
+        kan = random_kan(random.Random(2), input_dim=2, output_dim=1, max_width=3, max_depth=1)
+        layer = (kan_to_mlp(kan, ConversionMode.EXACT) if kind == "mlp" else kan).layers[0]
+        x = (0.25, -1.5)
+        want = bits(layer.apply(x))
+        # non-finite applies are not counted
+        for bad in [(INF, 0.0), (NAN, 0.0)]:
+            try:
+                layer.apply(bad)
+            except DomainError:
+                pass
+        assert vars(layer)["_calls"] == 1
+        for _ in range(core.KERNEL_AFTER - 2):
+            assert bits(layer.apply(x)) == want
+        assert vars(layer)["_calls"] == core.KERNEL_AFTER - 1 and "_kernel" not in vars(layer)
+        with mock.patch.object(core, "_build_kernel", wraps=core._build_kernel) as build:
+            assert bits(layer.apply(x)) == want
+            assert bits(layer.apply(x)) == want
+        build.assert_called_once()
+        assert callable(vars(layer)["_kernel"])
+
+    def test_a_layer_over_the_ceiling_never_compiles(self):
+        rng = random.Random(3)
+        n_in, n_out = 96, 90
+        assert n_in * n_out > core.KERNEL_MAX_UNITS
+        layer = MlpLayer([[rng.uniform(-1.0, 1.0) for _ in range(n_in)] for _ in range(n_out)],
+                         [rng.uniform(-1.0, 1.0) for _ in range(n_out)], Activation.IDENTITY)
+        assert layer._kernel_units == n_in * n_out + n_out
+        x = tuple(rng.uniform(-1.0, 1.0) for _ in range(n_in))
+        with mock.patch.object(core, "_build_kernel", wraps=core._build_kernel) as build:
+            for _ in range(core.KERNEL_AFTER + 1):
+                out = layer.apply(x)
+        build.assert_not_called()
+        assert vars(layer)["_kernel"] is False
+        assert bits(out) == bits(dense_apply(layer, x))
+
+    def test_the_ceiling_falls_between_conversions(self):
+        # every layer of a 16/3/8 exact conversion fits; a round-tripped
+        # 8/3/8 KAN's hidden layers do not
+        big = kan_to_mlp(_square_kan(16, 3, 8, random.Random(4)), ConversionMode.EXACT)
+        assert max(layer._kernel_units for layer in big.layers) <= core.KERNEL_MAX_UNITS
+        small = _square_kan(8, 3, 8, random.Random(5))
+        back = mlp_to_kan(kan_to_mlp(small, ConversionMode.EXACT))
+        assert min(layer._kernel_units for layer in back.layers[1:-1]) > core.KERNEL_MAX_UNITS
+        assert _square_kan(2, 1, 2, random.Random(6)).layers[0]._kernel_units == 2 * 2 * 2
+        spline = SplineKan((KanLayer(((_RELUS[PolySegmentSpline],),)),))
+        assert spline.layers[0]._kernel_units is None
+        apply_until_compiled(spline, (0.5,))
+        assert vars(spline.layers[0])["_kernel"] is False
+
+    def test_compiled_models_pickle_and_copy(self):
+        kan = random_kan(random.Random(7), input_dim=2, output_dim=2, max_width=3, max_depth=2)
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        points = [(0.5, -0.25), (3.0, 1.0), (-2.0, 0.0)]
+        for net in (kan, mlp):
+            apply_until_compiled(net, points[0])
+            want = [bits(net.evaluate(x)) for x in points]
+            for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
+                assert copied == net and repr(copied) == repr(net)
+                # a copy counts afresh
+                assert not any("_kernel" in vars(layer) or "_calls" in vars(layer) for layer in copied.layers)
+                assert [bits(copied.evaluate(x)) for x in points] == want
+            assert [bits(net.evaluate(x)) for x in points] == want
+
+    def test_a_kernel_is_freed_with_its_layer(self):
+        layer = KanLayer(((_RELUS[PiecewiseLinear], PiecewiseLinear((1.0,), (2.0, -1.0), 0.5)),))
+        for _ in range(core.KERNEL_AFTER):
+            layer.apply((0.5, 2.0))
+        kernel = weakref.ref(vars(layer)["_kernel"])
+        assert kernel().__globals__ == {"__builtins__": {}}
+        gc.disable()
+        try:
+            del layer
+            assert kernel() is None
+        finally:
+            gc.enable()
+
+    def test_concurrent_evaluation_gives_the_same_bits(self):
+        kan = random_kan(random.Random(8), input_dim=2, output_dim=2, max_width=3, max_depth=3)
+        nets = (kan, kan_to_mlp(kan, ConversionMode.EXACT))
+        rng = random.Random(9)
+        points = [(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)) for _ in range(core.KERNEL_AFTER)]
+        want = [[bits(dense_chain(net, x)) for x in points] for net in nets]
+        failures = []
+
+        def work():
+            for net, expected in zip(nets, want):
+                if [bits(net.evaluate(x)) for x in points] != expected:
+                    failures.append(net)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert all(callable(vars(layer)["_kernel"]) for net in nets for layer in net.layers)
+

@@ -747,6 +747,13 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert "--tol" in err
 
+    def test_verify_negative_seed_exits_two_before_loading(self, tmp_path):
+        # seed -1 used to sample the points of seed 0
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(["verify", missing, missing, "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "verify --seed must be >= 0, got -1\n"
+
     @pytest.mark.parametrize("box, message", [
         (["-" + "9" * 309, "9" * 309], "(-inf, inf)"),
         (["0", "inf"], "(0.0, inf)"),
