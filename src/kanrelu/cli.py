@@ -23,7 +23,7 @@ from .counting import (
     signature_of_kan,
     signature_of_mlp,
 )
-from .equiv import DEFAULT_SEED, _normalize_box, assert_equiv, equiv_exact_1d
+from .equiv import DEFAULT_SEED, _finite_or_none, _normalize_box, assert_equiv, equiv_exact_1d
 from .errors import (
     DomainError,
     ParseError,
@@ -36,6 +36,10 @@ from .serialize import dumps_canonical, load, save, save_canonical
 
 USAGE_ERROR = 2
 FAILURE = 1
+
+
+class _WrongKind(Exception):
+    """A command was given a model of a kind it does not take: a usage error."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,18 +103,20 @@ def _print_report(doc: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _load(path, command: str, kinds: tuple[type, ...] = (Kan, Mlp)) -> Kan | Mlp:
+    """The model at ``path``; a usage error unless it is one of the ``kinds`` that ``command`` takes."""
+    model = load(path)
+    if not isinstance(model, kinds):
+        names = " and ".join(kind.__name__.lower() for kind in kinds)
+        raise _WrongKind(f"{command} takes {names} models only, got {type(model).__name__}")
+    return model
+
+
 def _cmd_convert(args) -> int:
-    model = load(args.input)
     if args.target == "mlp":
-        if not isinstance(model, Kan):
-            print("convert --to mlp expects a kan model", file=sys.stderr)
-            return USAGE_ERROR
-        result = kan_to_mlp(model, args.mode)
+        result = kan_to_mlp(_load(args.input, "convert --to mlp", (Kan,)), args.mode)
     else:
-        if not isinstance(model, Mlp):
-            print("convert --to kan expects an mlp model", file=sys.stderr)
-            return USAGE_ERROR
-        result = mlp_to_kan(model)
+        result = mlp_to_kan(_load(args.input, "convert --to kan", (Mlp,)))
     save(result, args.output, sparse=args.sparse)
     return 0
 
@@ -127,7 +133,7 @@ def _cmd_eval(args) -> int:
         return USAGE_ERROR
     output = model.evaluate(point)
     if args.json:
-        sys.stdout.write(dumps_canonical({"output": list(output)}))
+        sys.stdout.write(dumps_canonical({"output": list(map(_finite_or_none, output))}))
     else:
         print(",".join(format(v, ".17g") for v in output))
     return 0
@@ -148,11 +154,11 @@ def _cmd_verify(args) -> int:
     except ValidationError as e:
         print(f"verify --box: {e}", file=sys.stderr)
         return USAGE_ERROR
-    a = load(args.a)
-    b = load(args.b)
     if args.exact_1d:
+        a, b = (_load(path, "verify --exact-1d") for path in (args.a, args.b))
         report = equiv_exact_1d(a, b, tol=args.tol)
     else:
+        a, b = load(args.a), load(args.b)
         report = assert_equiv(
             a, b, box=tuple(args.box), samples=args.samples, tol=args.tol, seed=args.seed
         )
@@ -161,20 +167,17 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    model = load(args.model)
+    model = _load(args.model, "params")
     if isinstance(model, Kan):
         report = count_params_kan(model)
         formula = kan_to_relu_param_formula(model) if args.formula else None
-    elif isinstance(model, Mlp):
+    else:
         if args.formula and model.output_dim != 1:
             raise UnsupportedDimensionError(
                 f"params --paper-formula needs a scalar-output mlp, got output dimension {model.output_dim}"
             )
         report = count_params_mlp(model)
         formula = relu_to_kan_param_formula(model) if args.formula else None
-    else:
-        print("params supports kan and mlp models", file=sys.stderr)
-        return USAGE_ERROR
     doc = report.to_dict()
     if args.formula:
         doc["conversion_formula"] = formula
@@ -183,14 +186,11 @@ def _cmd_params(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    model = load(args.model)
+    model = _load(args.model, "bounds")
     if isinstance(model, Kan):
         sig, widths = signature_of_kan(model), list(model.widths[:-1])
-    elif isinstance(model, Mlp):
-        sig, widths = signature_of_mlp(model), [model.input_dim, *model.hidden_widths]
     else:
-        print("bounds supports kan and mlp models", file=sys.stderr)
-        return USAGE_ERROR
+        sig, widths = signature_of_mlp(model), [model.input_dim, *model.hidden_widths]
     if model.output_dim != 1:
         raise UnsupportedDimensionError(
             f"bounds needs a scalar-output model, got output dimension {model.output_dim}"
@@ -205,8 +205,7 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_regions(args) -> int:
-    model = load(args.model)
-    complex_1d = exact_regions_1d(model)
+    complex_1d = exact_regions_1d(_load(args.model, "regions"))
     save_canonical(complex_1d.to_dict(), args.out)
     print(f"regions: {complex_1d.region_count}")
     return 0
@@ -226,11 +225,7 @@ def _cmd_fingerprint(args) -> int:
 
 
 def _cmd_embed_check(args) -> int:
-    model = load(args.model)
-    if not isinstance(model, Kan):
-        print("embed-check expects a kan model", file=sys.stderr)
-        return USAGE_ERROR
-    report = class_embedding_check(model)
+    report = class_embedding_check(_load(args.model, "embed-check", (Kan,)))
     _print_report(report.to_dict(), args.json)
     ok = (
         report.width_bound_satisfied
@@ -260,7 +255,7 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ShapeError, UnsupportedDimensionError) as e:
+    except (ShapeError, UnsupportedDimensionError, _WrongKind) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     # OSError: a model or output path that cannot be opened, such as a directory

@@ -128,14 +128,17 @@ _Kernel = Callable[[Vector], Vector]
 def _build_kernel(body: Iterable[str]) -> _Kernel:
     """The function ``kernel(v)`` whose body is the generated lines ``body``.
 
-    The lines hold only ``repr`` of finite floats, integer indices and
-    generated names.  The source runs with its own globals, which have no
-    builtins, and its own locals, so the function and its namespaces form no
-    reference cycle and are freed with the layer that holds the function.
+    The lines hold only ``repr`` of floats, integer indices and generated
+    names.  The floats are the checked-finite parameters, and the slope
+    changes ``kinks``, which are ``inf`` or ``-inf`` where the difference of
+    two finite slopes overflows.  The source runs with its own globals,
+    which have no builtins but bind ``inf``, and its own locals, so the
+    function and its namespaces form no reference cycle and are freed with
+    the layer that holds the function.
     """
     source = "def kernel(v):\n" + "".join(f" {line}\n" for line in body)
     namespace: dict = {}
-    exec(compile(source, "<kanrelu kernel>", "exec"), {"__builtins__": {}}, namespace)
+    exec(compile(source, "<kanrelu kernel>", "exec"), {"__builtins__": {}, "inf": math.inf}, namespace)
     return namespace["kernel"]
 
 

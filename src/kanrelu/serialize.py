@@ -162,33 +162,20 @@ class _CanonicalEncoder:
         if kinds == _LIST and self.encode_records(value, indent):
             return
         # the texts kept for the items, as in a row of a converted KAN, are
-        # looked up in one pass
+        # looked up in one pass, and the runs of items that have one go out whole
         kept = self.texts[indent + 1]
         texts = list(map(kept.get, map(id, value)))
         out, encode = self.out, self.encode
-        if 2 * texts.count(None) > len(texts):
-            # most items have no kept text: an item met again in this list is
-            # looked up again before it is encoded
-            inner = "  " * (indent + 1)
-            last = len(value) - 1
-            out.append("[\n")
-            for i, v in enumerate(value):
-                out.append(inner)
-                text = kept.get(id(v))
-                if text is None:
-                    encode(v, indent + 1)
-                else:
-                    out.append(text)
-                out.append(",\n" if i < last else "\n" + "  " * indent + "]")
-                if len(out) >= self.FLUSH_PIECES and not self.capturing:
-                    self.flush()
-            return
-        # most items have kept text: the runs between the others go out whole
         pieces = self.lines(texts, len(value), indent)
         done = 0  # pieces before this one are in the output
         for i in compress(range(len(value)), map(is_, texts, repeat(None))):
             out.extend(pieces[done:2 * i + 1])
-            encode(value[i], indent + 1)
+            # a row object met twice in this list is kept from then on
+            text = kept.get(id(value[i]))
+            if text is None:
+                encode(value[i], indent + 1)
+            else:
+                out.append(text)
             done = 2 * i + 2
             if len(out) >= self.FLUSH_PIECES and not self.capturing:
                 self.flush()
@@ -257,8 +244,8 @@ def _encode_canonical(obj: Any, write: Callable[[str], object]) -> None:
     one dict per distinct activation, converted MLPs one tuple per distinct
     row).  A list of scalars is formatted in one pass without recursion, a
     list of equal-length lists of scalars (a sparse file's triplets) column
-    by column, and a list of containers with one lookup of the items' kept
-    texts.
+    by column, and a list of containers in one loop that looks up the items'
+    kept texts together and encodes only the items that have none.
     """
     encoder = _CanonicalEncoder(write)
     encoder.encode(obj, 0)

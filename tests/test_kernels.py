@@ -563,7 +563,9 @@ class TestCompiledKernels:
     @settings(max_examples=300, deadline=None)
     def test_pl_kernel_matches_dense_loop_on_breakpoints(self, data):
         n_in, n_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
-        acts = st.one_of(decimal_pls(), decimal_pls(slopes=st.sampled_from([0.0, -0.0])), st.sampled_from(_ZERO_PLS))
+        # slopes of ±1e308 give slope changes of ±inf
+        acts = st.one_of(decimal_pls(), decimal_pls(slopes=st.sampled_from([0.0, -0.0])),
+                         decimal_pls(slopes=st.sampled_from([1e308, -1e308])), st.sampled_from(_ZERO_PLS))
         layer = KanLayer([[data.draw(acts) for _ in range(n_in)] for _ in range(n_out)])
         # each coordinate on one of its column's breakpoints, or anywhere
         x = tuple(
@@ -713,7 +715,7 @@ class TestTiering:
         for _ in range(core.KERNEL_AFTER):
             layer.apply((0.5, 2.0))
         kernel = weakref.ref(vars(layer)["_kernel"])
-        assert kernel().__globals__ == {"__builtins__": {}}
+        assert kernel().__globals__ == {"__builtins__": {}, "inf": INF}
         gc.disable()
         try:
             del layer

@@ -738,6 +738,15 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert err == f"eval --input coordinates must be finite, got {point!r}\n"
 
+    def test_eval_json_writes_non_finite_output_as_null(self):
+        # a finite input whose output overflows; --json used to exit 1
+        argv = ["eval", FIXTURES / "three_segment_kan.json", "--input", "1.7e308"]
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (0, "nan\n", "")
+        code, out, err = run_cli([*argv, "--json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"output": [None]}
+
     @pytest.mark.parametrize("tol", ["nan", "-1e-8", "-inf"])
     @pytest.mark.parametrize("exact", [[], ["--exact-1d"]], ids=["sampled", "exact_1d"])
     def test_verify_invalid_tol_exits_two(self, tol, exact):
@@ -867,6 +876,16 @@ class TestCliExitCodes:
         assert report["max_abs_error"] is None and report["max_rel_error"] is None
         assert report["passed"] is False
 
+    def test_overflowing_slope_change_is_reported_once_compiled(self, tmp_path):
+        # finite slopes whose change is inf: NaN at the breakpoint, inf past it,
+        # also once the layer is compiled into a kernel after KERNEL_AFTER points
+        kan = Kan((KanLayer(((PiecewiseLinear((0.0,), (-1e308, 1e308)),),)),))
+        save(kan, tmp_path / "k.json")
+        code, out, err = run_cli(["verify", tmp_path / "k.json", tmp_path / "k.json",
+                                  "--box", "-1", "1"])
+        assert code == 1 and "Traceback" not in err, err
+        assert "passed: False" in out
+
     def test_overflowed_network_is_not_certified(self, tmp_path):
         # big(x) = relu(1e200 * x) * 1e200 is +inf for every x > 0
         def net(w1, w2):
@@ -901,19 +920,32 @@ class TestCliExitCodes:
         report = json.loads(out)
         assert report["passed"] and len(report["worst_point"]) == 16
 
-    @pytest.mark.parametrize("argv, code, message", [
+    # a command that needs a kan or mlp model exits 2 on any other kind
+    OTHER_KIND_CASES = [
         pytest.param(argv, code, message, id=argv[0]) for argv, code, message in [
-            (["convert", "--to", "mlp", "{model}", "{tmp}/x.json"], 2, "expects a kan model"),
-            (["params", "{model}"], 2, "supports kan and mlp models"),
-            (["bounds", "{model}"], 2, "supports kan and mlp models"),
-            (["embed-check", "{model}"], 2, "expects a kan model"),
-            (["regions", "{model}", "--out", "{tmp}/c.json"], 1, "unsupported network type SplineKan"),
+            (["convert", "--to", "mlp", "{model}", "{tmp}/x.json"], 2, "convert --to mlp takes kan models only"),
+            (["params", "{model}"], 2, "params takes kan and mlp models only"),
+            (["bounds", "{model}"], 2, "bounds takes kan and mlp models only"),
+            (["embed-check", "{model}"], 2, "embed-check takes kan models only"),
+            (["regions", "{model}", "--out", "{tmp}/c.json"], 2, "regions takes kan and mlp models only"),
+            (["verify", "{model}", "{other}", "--exact-1d"], 2, "verify --exact-1d takes kan and mlp models only"),
             (["eval", "{model}", "--input", "0.5"], 0, ""),
         ]
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv, code, message", OTHER_KIND_CASES)
     def test_spline_kan_file(self, argv, code, message, tmp_path):
-        model = FIXTURES / "square_flip_spline_kan.json"
-        got, out, err = run_cli([a.format(model=model, tmp=tmp_path) for a in argv])
+        self.check_other_kind("square_flip_spline_kan", "square_flip_monomial", argv, code, message, tmp_path)
+
+    @pytest.mark.parametrize("argv, code, message", OTHER_KIND_CASES)
+    def test_monomial_file(self, argv, code, message, tmp_path):
+        self.check_other_kind("square_flip_monomial", "square_flip_spline_kan", argv, code, message, tmp_path)
+
+    @staticmethod
+    def check_other_kind(name, other, argv, code, message, tmp_path):
+        model = FIXTURES / f"{name}.json"
+        got, out, err = run_cli([a.format(model=model, other=FIXTURES / f"{other}.json", tmp=tmp_path)
+                                 for a in argv])
         assert got == code, err
         assert message in err and "Traceback" not in err
         if code:

@@ -298,10 +298,15 @@ class TestKnotLoader:
             )
         return c1 + c2
 
-    @pytest.mark.parametrize("degree", [1, 2, 3])
-    def test_matches_recursive_basis_evaluation(self, degree):
+    @pytest.mark.parametrize("degree, interior", [
+        *(pytest.param(degree, None, id=str(degree)) for degree in (1, 2, 3)),
+        # a knot repeated no more than ``degree`` times: a zero-length interval
+        *(pytest.param(degree, [1.0, 2.0, 2.0, 3.0], id=f"{degree}-repeated") for degree in (2, 3)),
+    ])
+    def test_matches_recursive_basis_evaluation(self, degree, interior):
         rng = random.Random(111)
-        interior = sorted(rng.uniform(0.5, 3.5) for _ in range(3))
+        if interior is None:
+            interior = sorted(rng.uniform(0.5, 3.5) for _ in range(3))
         t = [0.0] * (degree + 1) + interior + [4.0] * (degree + 1)
         n = len(t) - degree - 1
         c = [rng.uniform(-2, 2) for _ in range(n)]
@@ -311,6 +316,13 @@ class TestKnotLoader:
             want = sum(ci * self._naive_basis(x, degree, j, t) for j, ci in enumerate(c))
             got = spline.evaluate(x)
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_knot_repeated_degree_plus_one_times_is_discontinuous(self):
+        t = [0.0, 0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0]
+        rng = random.Random(111)
+        c = [rng.uniform(-2, 2) for _ in range(len(t) - 2)]
+        with pytest.raises(ValidationError, match="discontinuous at breakpoint 2.0"):
+            bspline_from_knots(t, c, 1)
 
     def test_coefficient_count_checked(self):
         with pytest.raises(ValidationError):
