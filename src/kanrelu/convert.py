@@ -20,6 +20,7 @@ nonnegative.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -54,7 +55,8 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
     relu(x_p), relu(-x_p), then one unit per activation breakpoint; hidden
     width is 2*n_in + sum(segments - 1).  In paper mode each activation gets
     one first-segment unit relu(x_p) plus its breakpoint units; hidden width
-    is sum(segments).
+    is sum(segments).  A slope change or an output's intercept sum that
+    overflows raises ``ValidationError`` naming its activation or output.
     """
     exact = ConversionMode(mode) is ConversionMode.EXACT
     n_in = layer.n_in
@@ -67,7 +69,7 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
             units.append((p, -1.0, 0.0, STRUCTURAL))
     # per output row, the hidden indices and weights it uses
     row_entries: list[list[tuple[int, float]]] = []
-    for acts in layer.activations:
+    for q, acts in enumerate(layer.activations):
         entries = []
         for p, act in enumerate(acts):
             if exact:
@@ -77,6 +79,10 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
                 entries.append((len(units), act.slopes[0]))
                 units.append((p, 1.0, 0.0, STRUCTURAL))
             for b, d in act.kinks:
+                if not math.isfinite(d):  # finite slopes such as (-1e308, 1e308)
+                    raise ValidationError(
+                        f"activation q={q}, p={p}: the slope change at breakpoint {b!r} overflows to {d!r}"
+                    )
                 entries.append((len(units), d))
                 units.append((p, 1.0, -b, FREE))
         row_entries.append(entries)
@@ -90,6 +96,11 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
             row[p] = sign
             one_hot[p, sign] = tuple(row)
         w1.append(one_hot[p, sign])
+
+    bias = tuple(_ascending_sum(act.intercept for act in acts) for acts in layer.activations)
+    for q, total in enumerate(bias):
+        if not math.isfinite(total):
+            raise ValidationError(f"output q={q}: the activation intercepts sum to {total!r}")
 
     hidden = len(units)
     w2 = []
@@ -114,7 +125,7 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
             ),
             MlpLayer(
                 weight=tuple(w2),
-                bias=tuple(_ascending_sum(act.intercept for act in acts) for acts in layer.activations),
+                bias=bias,
                 activation=Activation.IDENTITY,
                 weight_tags=tuple(w2_tags),
                 bias_tags=(FREE,) * layer.n_out,
@@ -206,7 +217,12 @@ def kan_to_mlp(kan: Kan, mode: ConversionMode | str) -> Mlp:
     how many independent source parameters it carries.
     """
     mode = ConversionMode(mode)
-    blocks = [kan_layer_to_relu(layer, mode) for layer in kan.layers]
+    blocks = []
+    for t, layer in enumerate(kan.layers):
+        try:
+            blocks.append(kan_layer_to_relu(layer, mode))
+        except ValidationError as e:
+            raise ValidationError(f"KAN layer {t}: {e}") from None
     source_counts = _source_params_per_affine(kan)
 
     # only the end layers are re-validated; each folded layer is built once

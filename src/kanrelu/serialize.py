@@ -100,47 +100,16 @@ class _CanonicalEncoder:
     def encode(self, value: Any, indent: int) -> None:
         if isinstance(value, dict):
             if value:
-                self.encode_shared(value, indent, self.encode_dict)
+                self.encode_dict(value, indent)
             else:
                 self.out.append("{}")
         elif isinstance(value, (list, tuple)):
-            if not value:
-                self.out.append("[]")
-            elif isinstance(value, tuple):  # a model's weight and tag rows
-                self.encode_shared(value, indent, self.encode_list)
-            else:
-                # lists are built for one place, and a sparse file has tens of
-                # thousands of them, so tracking them would only cost time
+            if value:
                 self.encode_list(value, indent)
+            else:
+                self.out.append("[]")
         else:
             self.out.append(self.scalar(value))
-
-    def encode_shared(self, value, indent: int, encode) -> None:
-        """Encode a dict or tuple, reusing its text when met again at this depth.
-
-        A container is marked on first sight and its text captured on the
-        second, so only containers met again are cached.
-        """
-        # the document holds every container it reaches, so ids stay unique
-        key = id(value)
-        texts = self.texts[indent]
-        text = texts.get(key)
-        if text is not None:
-            self.out.append(text)
-            return
-        seen = self.seen[indent]
-        if key in seen:
-            out = self.out
-            start = len(out)
-            self.capturing += 1  # no flush may cut the capture short
-            encode(value, indent)
-            self.capturing -= 1
-            text = texts[key] = "".join(out[start:])
-            del out[start:]
-            out.append(text)
-        else:
-            seen.add(key)
-            encode(value, indent)
 
     def encode_dict(self, value: dict, indent: int) -> None:
         out, quoted, encode = self.out, self.quoted, self.encode
@@ -154,6 +123,13 @@ class _CanonicalEncoder:
         out.append("  " * indent + "}")
 
     def encode_list(self, value, indent: int) -> None:
+        """Encode a list or tuple; its item loop is the one place text is reused.
+
+        A dict or tuple item is marked the first time it is met at its depth,
+        its text captured the second time and reused after that.  List items
+        are not tracked: lists are built for one place, and a sparse file has
+        tens of thousands of them, so tracking them would only cost memory.
+        """
         kinds = set(map(type, value))
         fmt = self.formatter(kinds)
         if fmt is not None:
@@ -163,19 +139,30 @@ class _CanonicalEncoder:
             return
         # the texts kept for the items, as in a row of a converted KAN, are
         # looked up in one pass, and the runs of items that have one go out whole
-        kept = self.texts[indent + 1]
+        kept, seen = self.texts[indent + 1], self.seen[indent + 1]
         texts = list(map(kept.get, map(id, value)))
         out, encode = self.out, self.encode
         pieces = self.lines(texts, len(value), indent)
         done = 0  # pieces before this one are in the output
         for i in compress(range(len(value)), map(is_, texts, repeat(None))):
             out.extend(pieces[done:2 * i + 1])
-            # a row object met twice in this list is kept from then on
-            text = kept.get(id(value[i]))
-            if text is None:
-                encode(value[i], indent + 1)
-            else:
+            item = value[i]
+            key = id(item)  # the document holds every item, so ids stay unique
+            text = kept.get(key)  # a row met twice in this list is kept from then on
+            if text is not None:
                 out.append(text)
+            elif key in seen:
+                start = len(out)
+                self.capturing += 1  # no flush may cut the capture short
+                encode(item, indent + 1)
+                self.capturing -= 1
+                text = kept[key] = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+            else:
+                if isinstance(item, (dict, tuple)):
+                    seen.add(key)
+                encode(item, indent + 1)
             done = 2 * i + 2
             if len(out) >= self.FLUSH_PIECES and not self.capturing:
                 self.flush()
@@ -239,13 +226,13 @@ class _CanonicalEncoder:
 def _encode_canonical(obj: Any, write: Callable[[str], object]) -> None:
     """Encode a document canonically, in chunks handed to ``write``.
 
-    Two-space indent, one item per line.  A dict or tuple met again at the
-    same depth is encoded once and its text reused (converted KANs share
-    one dict per distinct activation, converted MLPs one tuple per distinct
-    row).  A list of scalars is formatted in one pass without recursion, a
-    list of equal-length lists of scalars (a sparse file's triplets) column
-    by column, and a list of containers in one loop that looks up the items'
-    kept texts together and encodes only the items that have none.
+    Two-space indent, one item per line.  A list of scalars is formatted in
+    one pass without recursion, a list of equal-length lists of scalars (a
+    sparse file's triplets) column by column, and any other list in one
+    loop, the only place where text is reused: a dict or tuple item met
+    again at the same depth is encoded once and its text written again
+    (converted KANs share one dict per distinct activation, converted MLPs
+    one tuple per distinct row).  List items are never reused.
     """
     encoder = _CanonicalEncoder(write)
     encoder.encode(obj, 0)
@@ -337,7 +324,7 @@ def _mlp_layer_to_dict(layer: MlpLayer, sparse: bool) -> dict:
     return doc
 
 
-def model_to_dict(model, sparse: bool = False, metadata: dict[str, str] | None = None) -> dict:
+def model_to_dict(model, sparse: bool = False) -> dict:
     if isinstance(model, (Kan, SplineKan)):
         kind, act_to_dict = ("kan", _pl_to_dict) if isinstance(model, Kan) else ("bspline_kan", _spline_to_dict)
         # one dict per distinct activation object; the model keeps the ids live
@@ -382,17 +369,30 @@ def model_to_dict(model, sparse: bool = False, metadata: dict[str, str] | None =
         "kind": kind,
         "version": FORMAT_VERSION,
         "payload": payload,
-        "metadata": dict(metadata or {}),
+        "metadata": {},
     }
 
 
-def dumps_model(model, sparse: bool = False, metadata: dict[str, str] | None = None) -> str:
-    return dumps_canonical(model_to_dict(model, sparse=sparse, metadata=metadata))
+def dumps_model(model, sparse: bool = False) -> str:
+    return dumps_canonical(model_to_dict(model, sparse=sparse))
 
 
-def save(model, path, sparse: bool = False, metadata: dict[str, str] | None = None) -> None:
+def save(model, path, sparse: bool = False) -> None:
     """Stream a model's canonical file to ``path``; a failed save leaves ``path`` as it was."""
-    save_canonical(model_to_dict(model, sparse=sparse, metadata=metadata), path)
+    save_canonical(model_to_dict(model, sparse=sparse), path)
+
+
+_NUMBER = frozenset((int, float))
+
+
+def _number(value: Any, where: str) -> float:
+    """``value`` as a float: a number is an int or float, not a bool, that fits a float."""
+    if type(value) not in _NUMBER:
+        raise ParseError(f"{where}: expected a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ParseError(f"{where}: number too large for a float") from None
 
 
 def _need(doc: Any, key: str, kind, where: str):
@@ -402,12 +402,7 @@ def _need(doc: Any, key: str, kind, where: str):
         raise ParseError(f"{where}: missing field {key!r}")
     value = doc[key]
     if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{where}.{key}: expected a number")
-        try:
-            return float(value)
-        except OverflowError:  # an integer literal beyond the float range
-            raise ParseError(f"{where}.{key}: number too large for a float") from None
+        return _number(value, f"{where}.{key}")
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParseError(f"{where}.{key}: expected an integer")
@@ -417,28 +412,14 @@ def _need(doc: Any, key: str, kind, where: str):
     return value
 
 
-_NUMBER = frozenset((int, float))
-
-
 def _floats(values: Any, where: str) -> tuple[float, ...]:
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list of numbers")
-    if not _NUMBER.issuperset(map(type, values)):  # bool is not a number here
-        i = next(i for i, v in enumerate(values) if type(v) not in _NUMBER)
-        raise ParseError(f"{where}[{i}]: expected a number")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:  # an integer literal beyond the float range
-        i = next(i for i, v in enumerate(values) if _overflows(v))
-        raise ParseError(f"{where}[{i}]: number too large for a float") from None
-
-
-def _overflows(value: int | float) -> bool:
-    try:
-        float(value)
-    except OverflowError:
-        return True
-    return False
+    if _NUMBER.issuperset(map(type, values)):
+        with contextlib.suppress(OverflowError):
+            return tuple(map(float, values))
+    # some value is no number: name the first
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
 def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
@@ -532,7 +513,8 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
         dense = [[0.0] * cols for _ in range(rows)]
         tags = [[STRUCTURAL] * cols for _ in range(rows)]
         filled = bytearray(rows * cols)  # 1 where a triplet has set the entry
-        for i, triplet in enumerate(_need(sparse, "triplets", list, f"{where}.weight_sparse")):
+        triplets = _need(sparse, "triplets", list, f"{where}.weight_sparse")
+        for i, triplet in enumerate(triplets):
             if not isinstance(triplet, list) or len(triplet) != 4:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: expected [row, col, value, tag]")
             r, c, value, tag = triplet
@@ -541,19 +523,15 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: {name} must be an integer, got {index!r}")
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: index out of range")
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ParseError(f"{where}.weight_sparse.triplets[{i}]: value must be a number")
             if tag not in (STRUCTURAL, FREE):
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: bad tag {tag!r}")
             at = r * cols + c
             if filled[at]:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: duplicate entry for row {r}, column {c}")
             filled[at] = 1
-            try:
-                dense[r][c] = float(value)
-            except OverflowError:  # an integer literal beyond the float range
-                raise ParseError(f"{where}.weight_sparse.triplets[{i}]: number too large for a float") from None
+            dense[r][c] = value
             tags[r][c] = tag
+        _floats([triplet[2] for triplet in triplets], f"{where}.weight_sparse.triplets")  # names a bad value
         weight = _matrix(dense, f"{where}.weight_sparse")
         weight_tags = _tag_matrix(tags, f"{where}.weight_sparse") if tagged else None
     else:

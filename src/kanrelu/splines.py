@@ -116,7 +116,10 @@ class MonomialReluBlock:
         for q, acc in enumerate(_affine_bias_first(self.weight, self.bias, v)):
             acc = acc if acc > 0.0 else 0.0
             power = q % (self.degree + 1)
-            out.append(1.0 if power == 0 else acc**power)
+            try:
+                out.append(1.0 if power == 0 else acc**power)
+            except OverflowError:  # float ** int raises where * gives inf; acc >= 0 here
+                out.append(math.inf)
         return tuple(out)
 
 

@@ -126,6 +126,27 @@ class TestLayerLowering:
         assert block.layers[-1].bias == (1.0,)
 
     @pytest.mark.parametrize("mode", list(ConversionMode))
+    def test_overflowing_slope_change_names_the_activation(self, mode, identity_pl):
+        # finite slopes whose change is inf; the MLP check used to name only a weight row
+        bad = PiecewiseLinear((-1.0, 0.5), (1.0, -1e308, 1e308))
+        layer = KanLayer(((identity_pl, identity_pl), (identity_pl, bad)))
+        message = "activation q=1, p=1: the slope change at breakpoint 0.5 overflows to inf"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            kan_layer_to_relu(layer, mode)
+        kan = Kan((KanLayer(((identity_pl,), (identity_pl,))), layer))
+        with pytest.raises(ValidationError, match=f"^KAN layer 1: {message}$"):
+            kan_to_mlp(kan, mode)
+
+    @pytest.mark.parametrize("mode", list(ConversionMode))
+    def test_overflowing_intercept_sum_names_the_output(self, mode, identity_pl):
+        big = PiecewiseLinear((), (1.0,), 1e308)
+        layer = KanLayer(((identity_pl, identity_pl), (big, big)))
+        with pytest.raises(ValidationError, match="^output q=1: the activation intercepts sum to inf$"):
+            kan_layer_to_relu(layer, mode)
+        with pytest.raises(ValidationError, match="^KAN layer 0: output q=1: "):
+            kan_to_mlp(Kan((layer,)), mode)
+
+    @pytest.mark.parametrize("mode", list(ConversionMode))
     @given(grid=st.integers(1, 2).flatmap(
         lambda n_in: st.lists(st.lists(decimal_pls(), min_size=n_in, max_size=n_in), min_size=1, max_size=2)
     ))

@@ -375,12 +375,12 @@ class TestStreamingSave:
     @settings(max_examples=120, deadline=None)
     def test_saved_bytes_equal_dumps_model(self, case, flush_pieces):
         model, sparse = case
-        text = dumps_model(model, sparse=sparse, metadata={"note": "x"})
-        assert text == _dumps_reference(model_to_dict(model, sparse=sparse, metadata={"note": "x"}))
+        text = dumps_model(model, sparse=sparse)
+        assert text == _dumps_reference(model_to_dict(model, sparse=sparse))
         with tempfile.TemporaryDirectory() as d, \
                 mock.patch.object(_CanonicalEncoder, "FLUSH_PIECES", flush_pieces):
             path = Path(d) / "model.json"
-            save(model, path, sparse=sparse, metadata={"note": "x"})
+            save(model, path, sparse=sparse)
             assert path.read_bytes() == text.encode("utf-8")
 
     @given(_documents())
@@ -408,11 +408,12 @@ class TestStreamingSave:
         path = tmp_path / "model.json"
         save(random_kan(rng), path)
         before = path.read_bytes()
-        mlp = kan_to_mlp(random_kan(rng, input_dim=3), ConversionMode.EXACT)
-        # metadata is written last, after earlier chunks reached the file
+        doc = model_to_dict(kan_to_mlp(random_kan(rng, input_dim=3), ConversionMode.EXACT))
+        # the last value is written after earlier chunks reached the file
+        doc["metadata"] = {"note": object()}
         with mock.patch.object(_CanonicalEncoder, "FLUSH_PIECES", 4), \
                 pytest.raises(ValidationError, match="cannot serialize"):
-            save(mlp, path, metadata={"note": object()})
+            save_canonical(doc, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
 
@@ -599,6 +600,14 @@ class TestValidationOnLoad:
         with pytest.raises(ParseError, match=re.escape(f"payload.layers[0].{message}")):
             loads_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", ["2", True, None], ids=["string", "bool", "null"])
+    def test_sparse_triplet_value_must_be_a_number(self, value):
+        doc = json.loads((FIXTURES / "three_segment_mlp_sparse.json").read_text())
+        doc["payload"]["layers"][0]["weight_sparse"]["triplets"][1][2] = value
+        message = "payload.layers[0].weight_sparse.triplets[1]: expected a number"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            loads_model(json.dumps(doc))
+
     def test_integer_beyond_digit_limit_rejected(self, tmp_path):
         # Python 3.11+ refuses to parse an integer of more than 4,300 digits
         text = (FIXTURES / "three_segment_kan.json").read_text()
@@ -746,6 +755,32 @@ class TestCliExitCodes:
         code, out, err = run_cli([*argv, "--json"])
         assert (code, err) == (0, "")
         assert json.loads(out) == {"output": [None]}
+
+    def test_monomial_power_beyond_float_range(self):
+        # acc**power used to end in an OverflowError traceback; relu(x)**2 is inf
+        # at x = -1e308, and the read-out's inf - 2 * inf is NaN at x = 1e308
+        model = FIXTURES / "square_flip_monomial.json"
+        for x, printed in (("-1e308", "inf\n"), ("1e308", "nan\n")):
+            assert run_cli(["eval", model, f"--input={x}"]) == (0, printed, "")
+            code, out, err = run_cli(["eval", model, f"--input={x}", "--json"])
+            assert (code, err) == (0, "")
+            assert json.loads(out) == {"output": [None]}
+        code, out, err = run_cli(["verify", model, FIXTURES / "square_flip_spline_kan.json",
+                                  "--box", "0", "1e200"])
+        assert code == 1 and "Traceback" not in err, err
+        assert "passed: False" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", FIXTURES / "overflow_slope_kan.json", "{tmp}/mlp.json", "--to", "mlp", "--mode", "exact"],
+        ["convert", FIXTURES / "overflow_slope_kan.json", "{tmp}/mlp.json", "--to", "mlp", "--mode", "paper"],
+        ["embed-check", FIXTURES / "overflow_slope_kan.json"],
+    ], ids=["convert_exact", "convert_paper", "embed_check"])
+    def test_overflowing_conversion_names_the_activation(self, argv, tmp_path):
+        # both used to report "weight row must be finite, got inf"
+        code, out, err = run_cli([str(a).format(tmp=tmp_path) for a in argv])
+        assert (code, out) == (1, "")
+        assert err == "error: KAN layer 0: activation q=0, p=0: the slope change at breakpoint 0.0 overflows to inf\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-8", "-inf"])
     @pytest.mark.parametrize("exact", [[], ["--exact-1d"]], ids=["sampled", "exact_1d"])

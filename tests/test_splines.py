@@ -128,6 +128,12 @@ class TestMonomialRelu:
             want = poly_eval(coeffs, x)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_power_beyond_float_range_is_inf(self):
+        # float ** int raises OverflowError where float * float gives inf
+        block = MonomialReluBlock(((1.0,), (1.0,), (1.0,)), (0.0, 0.0, 0.0), 2)
+        assert block.apply((1e200,)) == (1.0, 1e200, float("inf"))
+        assert block.apply((3.0,)) == (1.0, 3.0, 9.0)
+
     def test_width_must_be_group_multiple(self):
         with pytest.raises(ValidationError):
             MonomialReluBlock(((1.0,), (1.0,)), (0.0, 0.0), 2)
