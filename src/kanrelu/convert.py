@@ -1,9 +1,12 @@
 """Conversions between KANs and ReLU MLPs.
 
 Direction one lowers each KAN layer to a block, a two-layer ReLU MLP with
-one hidden layer, then chains blocks by folding each block's output affine
-map into the next block's input affine map.  Direction two re-expresses an MLP as a KAN whose activations are
-one- or two-segment piecewise linear functions.
+one hidden layer, and folds each block's input affine map into the output
+affine map of the block before it.  A lowering or fold that overflows (a
+slope change, an output's intercept sum, or a folded bias, which names its
+input and breakpoint) raises ``ValidationError`` naming the KAN layer.
+Direction two re-expresses an MLP as a KAN whose activations are one- or
+two-segment piecewise linear functions.
 
 Two lowering modes exist.  "exact" spends one shared hidden pair
 (relu(x_p), relu(-x_p)) per input coordinate so the first-segment slope term
@@ -62,11 +65,7 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
     n_in = layer.n_in
 
     # hidden units: (input coordinate, sign, bias, bias tag)
-    units: list[tuple[int, float, float, str]] = []
-    if exact:
-        for p in range(n_in):
-            units.append((p, 1.0, 0.0, STRUCTURAL))
-            units.append((p, -1.0, 0.0, STRUCTURAL))
+    units = [(p, sign, 0.0, STRUCTURAL) for p in range(n_in) for sign in (1.0, -1.0)] if exact else []
     # per output row, the hidden indices and weights it uses
     row_entries: list[list[tuple[int, float]]] = []
     for q, acts in enumerate(layer.activations):
@@ -88,14 +87,11 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
         row_entries.append(entries)
 
     # one row object per (input coordinate, sign), shared by every unit reading it
-    one_hot: dict[tuple[int, float], tuple[float, ...]] = {}
-    w1 = []
-    for p, sign, _bias, _tag in units:
-        if (p, sign) not in one_hot:
-            row = [0.0] * n_in
-            row[p] = sign
-            one_hot[p, sign] = tuple(row)
-        w1.append(one_hot[p, sign])
+    one_hot = {
+        (p, sign): tuple(sign if c == p else 0.0 for c in range(n_in))
+        for p, sign in {(u[0], u[1]) for u in units}
+    }
+    w1 = tuple([one_hot[u[0], u[1]] for u in units])
 
     bias = tuple(_ascending_sum(act.intercept for act in acts) for acts in layer.activations)
     for q, total in enumerate(bias):
@@ -117,7 +113,7 @@ def kan_layer_to_relu(layer: KanLayer, mode: ConversionMode | str) -> Mlp:
     return Mlp(
         (
             MlpLayer(
-                weight=tuple(w1),
+                weight=w1,
                 bias=tuple(u[2] for u in units),
                 activation=Activation.RELU,
                 weight_tags=((STRUCTURAL,) * n_in,) * hidden,
@@ -160,25 +156,34 @@ def _merge_affine(
     structural one-hot ``sign * e_p`` and the product selects row ``p`` of
     ``w2_prev``: weight row ``i`` is ``0.0 + sign * w2_prev[p]`` (the value
     the dense ascending-index sum gives) and keeps the tags of that row.  A
-    bias stays structural only when both of its inputs are.  Each ``(p,
-    sign)`` row is built once, and every hidden unit reading it shares it.
+    bias stays structural only when both of its inputs are; one that
+    overflows raises ``ValidationError`` naming ``p`` and the unit's
+    breakpoint ``-b1[i]``.  Each distinct pair of ``w1`` row and tag row
+    objects is checked and folded once, and every hidden unit holding it
+    shares the folded row; a lowered block holds one per ``(p, sign)``.
     """
-    folded: dict[tuple[int, float], tuple[float, ...]] = {}
+    folded: dict[tuple[int, int], tuple[int, float, tuple[float, ...]]] = {}
     weight = []
     weight_tags = []
     bias = []
     bias_tags = []
     for i, (row, tags) in enumerate(zip(w1, w1_tags)):
-        hits = [k for k, v in enumerate(row) if v != 0.0]
-        if len(hits) != 1 or row[hits[0]] not in (1.0, -1.0) or any(t != STRUCTURAL for t in tags):
-            raise ValidationError(f"w1 row {i} is not a structural one-hot +1/-1 row")
-        p = hits[0]
-        sign = row[p]
-        if (p, sign) not in folded:
-            folded[p, sign] = tuple([0.0 + sign * v for v in w2_prev[p]])
-        weight.append(folded[p, sign])
+        key = (id(row), id(tags))  # ``w1`` and ``w1_tags`` hold both
+        if key not in folded:
+            hits = [k for k, v in enumerate(row) if v != 0.0]
+            if len(hits) != 1 or row[hits[0]] not in (1.0, -1.0) or any(t != STRUCTURAL for t in tags):
+                raise ValidationError(f"w1 row {i} is not a structural one-hot +1/-1 row")
+            p = hits[0]
+            folded[key] = (p, row[p], tuple([0.0 + row[p] * v for v in w2_prev[p]]))
+        p, sign, folded_row = folded[key]
+        weight.append(folded_row)
         weight_tags.append(w2_prev_tags[p])
-        bias.append(b1[i] + sign * b2_prev[p])
+        total = b1[i] + sign * b2_prev[p]
+        if not math.isfinite(total):
+            raise ValidationError(
+                f"input p={p}: the folded bias of the unit at breakpoint {-b1[i]!r} overflows to {total!r}"
+            )
+        bias.append(total)
         bias_tags.append(STRUCTURAL if b1_tags[i] == STRUCTURAL and b2_prev_tags[p] == STRUCTURAL else FREE)
     return tuple(weight), tuple(weight_tags), tuple(bias), tuple(bias_tags)
 
@@ -190,60 +195,43 @@ def _source_params_per_affine(kan: Kan) -> list[int]:
     the per-activation intercept surface one affine layer later, after the
     output map of their block is folded forward.
     """
-    depth = len(kan.layers)
-
-    def breakpoint_count(t: int) -> int:
-        return sum(act.segments - 1 for row in kan.layers[t].activations for act in row)
-
-    def slope_intercept_count(t: int) -> int:
-        return sum(act.segments + 1 for row in kan.layers[t].activations for act in row)
-
-    counts = []
-    for t in range(depth + 1):
-        total = 0
-        if t < depth:
-            total += breakpoint_count(t)
-        if t > 0:
-            total += slope_intercept_count(t - 1)
-        counts.append(total)
+    counts = [0] * (len(kan.layers) + 1)
+    for t, layer in enumerate(kan.layers):
+        for row in layer.activations:
+            for act in row:
+                counts[t] += act.segments - 1
+                counts[t + 1] += act.segments + 1
     return counts
 
 
 def kan_to_mlp(kan: Kan, mode: ConversionMode | str) -> Mlp:
     """Convert a KAN to an MLP with one more affine layer than the KAN.
 
-    Interior affine layers are the folded products of consecutive blocks.
-    Entry provenance tags survive the fold, and each affine layer records
-    how many independent source parameters it carries.
+    Each KAN layer is lowered to a block whose input map is folded into the
+    output map of the block before it, so interior affine layers are the
+    folded products of consecutive blocks; an error in either step names
+    its KAN layer.  Entry provenance tags survive the fold, and each affine
+    layer records how many independent source parameters it carries.
     """
     mode = ConversionMode(mode)
-    blocks = []
+    source_counts = _source_params_per_affine(kan)
+    layers: list[MlpLayer] = []
     for t, layer in enumerate(kan.layers):
         try:
-            blocks.append(kan_layer_to_relu(layer, mode))
+            cur, out = kan_layer_to_relu(layer, mode).layers
+            if layers:  # fold into the previous block's output map, built once
+                prev = layers.pop()
+                weight, weight_tags, bias, bias_tags = _merge_affine(
+                    cur.weight, cur.weight_tags, cur.bias, cur.bias_tags,
+                    prev.weight, prev.weight_tags, prev.bias, prev.bias_tags,
+                )
+                cur = MlpLayer(weight, bias, Activation.RELU, weight_tags, bias_tags, source_counts[t])
+            else:
+                cur = replace(cur, source_params=source_counts[t])
         except ValidationError as e:
             raise ValidationError(f"KAN layer {t}: {e}") from None
-    source_counts = _source_params_per_affine(kan)
-
-    # only the end layers are re-validated; each folded layer is built once
-    layers = [replace(blocks[0].layers[0], source_params=source_counts[0])]
-    for t in range(1, len(blocks)):
-        prev, cur = blocks[t - 1].layers[1], blocks[t].layers[0]
-        weight, weight_tags, bias, bias_tags = _merge_affine(
-            cur.weight, cur.weight_tags, cur.bias, cur.bias_tags,
-            prev.weight, prev.weight_tags, prev.bias, prev.bias_tags,
-        )
-        layers.append(
-            MlpLayer(
-                weight=weight,
-                bias=bias,
-                activation=Activation.RELU,
-                weight_tags=weight_tags,
-                bias_tags=bias_tags,
-                source_params=source_counts[t],
-            )
-        )
-    layers.append(replace(blocks[-1].layers[1], source_params=source_counts[-1]))
+        layers += [cur, out]
+    layers[-1] = replace(out, source_params=source_counts[-1])
     return Mlp(tuple(layers))
 
 

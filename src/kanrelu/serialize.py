@@ -295,19 +295,23 @@ def _mlp_layer_to_dict(layer: MlpLayer, sparse: bool) -> dict:
     doc: dict[str, Any] = {}
     if sparse:
         # structural zeros are dropped; free entries and structural 1/-1
-        # constants are kept so the matrix reconstructs exactly.  Converted
-        # layers repeat rows, so each distinct (row, tags) pair is scanned once.
+        # constants are kept so the matrix reconstructs exactly.  An untagged
+        # layer keeps only its nonzeros, tagged free.  Converted layers
+        # repeat rows, so each distinct (row, tags) pair is scanned once.
+        tagged = layer.weight_tags is not None
         tag_rows = layer.weight_tags or ((FREE,) * layer.n_in,) * layer.n_out
         kept: dict[tuple[int, int], list[tuple[int, float, str]]] = {}
         triplets = []
         for r, (row, tags) in enumerate(zip(layer.weight, tag_rows)):
             key = (id(row), id(tags))  # the layer and ``tag_rows`` hold both
             if key not in kept:
-                kept[key] = [(c, v, t) for c, (v, t) in enumerate(zip(row, tags)) if v != 0.0 or t == FREE]
+                kept[key] = [
+                    (c, v, t) for c, (v, t) in enumerate(zip(row, tags)) if v != 0.0 or (tagged and t == FREE)
+                ]
             triplets.extend([[r, c, v, t] for c, v, t in kept[key]])
         doc["weight_sparse"] = {
             "shape": [layer.n_out, layer.n_in],
-            "tagged": layer.weight_tags is not None,
+            "tagged": tagged,
             "triplets": triplets,
         }
     else:

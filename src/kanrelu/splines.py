@@ -162,9 +162,7 @@ def eval_monomial_relu(net: MonomialReluNetwork, x: Sequence[float]) -> Vector:
     return net.evaluate(x)
 
 
-def bspline_to_monomial_relu(
-    s: PolySegmentSpline, degree: int | None = None
-) -> MonomialReluNetwork:
+def bspline_to_monomial_relu(s: PolySegmentSpline) -> MonomialReluNetwork:
     """Lower a univariate spline to a single monomial-relu block plus read-out.
 
     One group per breakpoint computes the shifted-difference polynomial of
@@ -172,12 +170,7 @@ def bspline_to_monomial_relu(
     leading polynomial on both half-lines, with sign-corrected coefficients
     on the negative side.
     """
-    r = s.degree_bound if degree is None else int(degree)
-    actual = max(len(c) for c in s.piece_coeffs) - 1
-    if actual > r:
-        raise ValidationError(f"spline degree {actual} exceeds configured degree {r}")
-
-    width = r + 1
+    width = s.degree_bound + 1
     rows: list[tuple[float, ...]] = []
     bias: list[float] = []
     readout: list[float] = []
@@ -203,7 +196,7 @@ def bspline_to_monomial_relu(
         bias.extend([-b] * width)
         readout.extend(diff)
 
-    block = MonomialReluBlock(weight=tuple(rows), bias=tuple(bias), degree=r)
+    block = MonomialReluBlock(weight=tuple(rows), bias=tuple(bias), degree=s.degree_bound)
     return MonomialReluNetwork(
         blocks=(block,),
         readout_weight=(tuple(readout),),

@@ -59,6 +59,13 @@ def build_fixtures() -> None:
 
     save(Kan((KanLayer(((relu_pl, relu_pl),)),)), FIXTURES / "pyramid_kan.json")
 
+    # conversion overflows: a slope change, and a bias folded across two layers
+    overflow_slope = PiecewiseLinear((0.0,), (-1e308, 1e308), 0.0)
+    save(Kan((KanLayer(((overflow_slope,),)),)), FIXTURES / "overflow_slope_kan.json")
+    big_intercept = PiecewiseLinear((), (1.0,), 1e308)
+    far_kink = PiecewiseLinear((-1e308,), (0.0, 1.0), 0.0)
+    save(Kan((KanLayer(((big_intercept,),)), KanLayer(((far_kink,),)))), FIXTURES / "overflow_fold_kan.json")
+
     spline = PolySegmentSpline((0.0,), ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), 2)
     lowered = bspline_to_monomial_relu(spline)
     save(lowered, FIXTURES / "square_flip_monomial.json")

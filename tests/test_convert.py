@@ -1,5 +1,6 @@
 """Conversion constructions: block lowering, layer assembly, both directions."""
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -145,6 +146,17 @@ class TestLayerLowering:
             kan_layer_to_relu(layer, mode)
         with pytest.raises(ValidationError, match="^KAN layer 0: output q=1: "):
             kan_to_mlp(Kan((layer,)), mode)
+
+    @pytest.mark.parametrize("mode", list(ConversionMode))
+    def test_overflowing_folded_bias_names_the_layer_and_unit(self, mode, identity_pl):
+        # b1 + b2_prev = 1e308 + 1e308; used to fail as "bias must be finite, got inf"
+        big = PiecewiseLinear((), (1.0,), 1e308)
+        far = PiecewiseLinear((-1e308,), (0.0, 1.0), 0.0)
+        kan = Kan((KanLayer(((identity_pl,), (big,))), KanLayer(((identity_pl, far),))))
+        message = "input p=1: the folded bias of the unit at breakpoint -1e+308 overflows to inf"
+        with pytest.raises(ValidationError, match=f"^KAN layer 1: {re.escape(message)}$"):
+            kan_to_mlp(kan, mode)
+        assert repr(kan_to_mlp(Kan(kan.layers[:1]), mode).layers[-1].bias) == "(0.0, 1e+308)"
 
     @pytest.mark.parametrize("mode", list(ConversionMode))
     @given(grid=st.integers(1, 2).flatmap(

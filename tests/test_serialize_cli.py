@@ -103,6 +103,24 @@ class TestRoundTrip:
         triplets = doc["payload"]["layers"][0]["weight_sparse"]["triplets"]
         assert all(len(t) == 4 and t[3] in ("structural", "free") for t in triplets)
 
+    def test_sparse_untagged_layer_keeps_only_nonzeros(self, tmp_path):
+        # every entry used to be written, zeros included, tagged free
+        mlp = Mlp((
+            MlpLayer(((1.0, 0.0, -0.0), (0.0, 0.0, 0.0), (0.0, -2.5, 0.0)), (0.0, 1.0, -0.0), Activation.RELU),
+            MlpLayer(((0.0, 3.0, 0.0),), (0.5,), Activation.IDENTITY),
+        ))
+        sparse, dense = tmp_path / "sparse.json", tmp_path / "dense.json"
+        save(mlp, sparse, sparse=True)
+        save(mlp, dense)
+        layers = json.loads(sparse.read_text())["payload"]["layers"]
+        assert [layer["weight_sparse"]["triplets"] for layer in layers] == [
+            [[0, 0, 1, "free"], [2, 1, -2.5, "free"]],
+            [[0, 1, 3, "free"]],
+        ]
+        again = load(sparse)
+        assert again == mlp and again.layers[0].weight_tags is None
+        assert repr(again) == repr(load(dense))
+
     def test_seventeen_digit_numbers_survive(self, tmp_path):
         from kanrelu import Kan, KanLayer, PiecewiseLinear
 
@@ -660,6 +678,41 @@ class TestValidationOnLoad:
         with pytest.raises(ParseError, match=re.escape(f"payload.layers[0].weight_sparse.{message}")):
             loads_model(json.dumps(doc))
 
+    @pytest.mark.parametrize("keys, value, message", [
+        (("payload", "layers", 0, "weight_sparse", "triplets", 0), [0, 0, 1.0],
+         "payload.layers[0].weight_sparse.triplets[0]: expected [row, col, value, tag]"),
+        (("payload", "layers", 0, "weight_sparse", "triplets", 0), "0, 0, 1, free",
+         "payload.layers[0].weight_sparse.triplets[0]: expected [row, col, value, tag]"),
+        (("payload", "layers", 0, "weight_sparse", "triplets", 0, 0), 4,
+         "payload.layers[0].weight_sparse.triplets[0]: index out of range"),
+        (("payload", "layers", 0, "weight_sparse", "triplets", 0, 1), -1,
+         "payload.layers[0].weight_sparse.triplets[0]: index out of range"),
+        (("payload", "layers", 0, "weight_sparse", "triplets", 0, 3), "fixed",
+         "payload.layers[0].weight_sparse.triplets[0]: bad tag 'fixed'"),
+        (("payload", "layers", 0, "activation"), "tanh",
+         "payload.layers[0].activation: expected 'relu' or 'identity'"),
+        (("version",), "2", "document.version: unsupported version '2'"),
+        (("metadata",), {"note": 1}, "document.metadata: expected a string-to-string map"),
+        (("metadata",), ["note"], "document.metadata: expected a string-to-string map"),
+        (("payload", "layers", 0), 5, "payload.layers[0]: expected an object"),
+        (("payload", "layers", 0, "source_params"), 2.5, "payload.layers[0].source_params: expected an integer"),
+        (("payload", "layers", 0, "source_params"), True, "payload.layers[0].source_params: expected an integer"),
+    ], ids=["short_triplet", "string_triplet", "row_out_of_range", "negative_column", "triplet_tag",
+            "activation", "version", "metadata_value", "metadata_list", "layer_not_object",
+            "float_source_params", "bool_source_params"])
+    def test_bad_field_named(self, keys, value, message, tmp_path):
+        doc = json.loads((FIXTURES / "three_segment_mlp_sparse.json").read_text())
+        container = doc
+        for key in keys[:-1]:
+            container = container[key]
+        container[keys[-1]] = value
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            loads_model(json.dumps(doc))
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
     def test_grid_row_must_be_a_list(self, kind, tmp_path):
         doc = {"kind": kind, "version": "1", "metadata": {},
@@ -738,6 +791,10 @@ class TestCliExitCodes:
                               "--input", "1,2"])
         assert code == 2
 
+    def test_eval_unparsable_input_exits_two(self):
+        code, out, err = run_cli(["eval", FIXTURES / "three_segment_kan.json", "--input", "1,x"])
+        assert (code, out, err) == (2, "", "could not parse --input '1,x'\n")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("model", ALL_FIXTURES, ids=lambda path: path.stem)
     def test_eval_non_finite_input_exits_two(self, model, value):
@@ -780,6 +837,18 @@ class TestCliExitCodes:
         code, out, err = run_cli([str(a).format(tmp=tmp_path) for a in argv])
         assert (code, out) == (1, "")
         assert err == "error: KAN layer 0: activation q=0, p=0: the slope change at breakpoint 0.0 overflows to inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["convert", FIXTURES / "overflow_fold_kan.json", "{tmp}/mlp.json", "--to", "mlp", "--mode", "exact"],
+        ["convert", FIXTURES / "overflow_fold_kan.json", "{tmp}/mlp.json", "--to", "mlp", "--mode", "paper"],
+        ["embed-check", FIXTURES / "overflow_fold_kan.json"],
+    ], ids=["convert_exact", "convert_paper", "embed_check"])
+    def test_overflowing_folded_bias_names_the_layer(self, argv, tmp_path):
+        # each used to report "bias must be finite, got inf"
+        code, out, err = run_cli([str(a).format(tmp=tmp_path) for a in argv])
+        assert (code, out) == (1, "")
+        assert err == "error: KAN layer 1: input p=0: the folded bias of the unit at breakpoint -1e+308 overflows to inf\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("tol", ["nan", "-1e-8", "-inf"])

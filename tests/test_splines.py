@@ -211,11 +211,6 @@ class TestSplineLowering:
                     got = eval_monomial_relu(net, (x,))[0]
                     assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
 
-    def test_degree_override_too_small(self):
-        s = PolySegmentSpline((), ((0.0, 0.0, 1.0),), 2)
-        with pytest.raises(ValidationError):
-            bspline_to_monomial_relu(s, degree=1)
-
     def test_overflowing_shift_rejected(self):
         # (1e100) ** 4 raises OverflowError in float ** int
         s = PolySegmentSpline((1e100,), ((0.0, 0, 0, 0, 1.0), (0.0, 0, 0, 0, 1.0)), 4)
@@ -253,6 +248,28 @@ class TestReverseEmbedding:
                 want = eval_monomial_relu(net, (x,))[0]
                 got = kan.evaluate((x,))[0]
                 assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+
+    def test_two_block_network(self):
+        # block 1 gives (1, h, 1, g) with h = relu(x), g = relu(0.5 - x); block 2
+        # gives (1, relu(h - g), relu(h - 0.5)^2, 1, g, relu(0.25 - h)^2)
+        first = MonomialReluBlock(((0.0,), (1.0,), (0.0,), (-1.0,)), (0.0, 0.0, 0.0, 0.5), 1)
+        second = MonomialReluBlock(
+            ((0.0,) * 4, (0.0, 1.0, 0.0, -1.0), (0.5, 1.0, 0.0, 0.0),
+             (0.0,) * 4, (0.0, 0.0, 0.0, 1.0), (0.0, -1.0, 0.25, 0.0)),
+            (0.0, 0.0, -1.0, 0.0, 0.0, 0.0), 2,
+        )
+        net = MonomialReluNetwork((first, second), ((0.5, 1.0, -1.0, 0.0, 2.0, 1.0),), (0.25,))
+        kan = monomial_relu_to_spline_kan(net)
+        assert len(kan.layers) == 7
+        for i in range(41):
+            x = -2.0 + i * 0.1
+            h, g = max(x, 0.0), max(0.5 - x, 0.0)
+            want = 0.75 + max(h - g, 0.0) - max(h - 0.5, 0.0) ** 2 + 2.0 * g + max(0.25 - h, 0.0) ** 2
+            got = eval_monomial_relu(net, (x,))[0]
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert abs(kan.evaluate((x,))[0] - got) <= 1e-12 * max(1.0, abs(got))
+        with pytest.raises(ValidationError, match="^block widths must chain$"):
+            MonomialReluNetwork((second, first), ((0.0, 1.0, -0.5, 0.0),), (0.0,))
 
     def test_relu_network_consistency(self):
         # r=1 blocks reduce to an mlp; the spline embedding then agrees with
