@@ -122,7 +122,6 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = load(args.model)
     try:
         point = [float(v) for v in args.input.split(",")]
     except ValueError:
@@ -131,7 +130,7 @@ def _cmd_eval(args) -> int:
     if not all(map(math.isfinite, point)):
         print(f"eval --input coordinates must be finite, got {args.input!r}", file=sys.stderr)
         return USAGE_ERROR
-    output = model.evaluate(point)
+    output = load(args.model).evaluate(point)
     if args.json:
         sys.stdout.write(dumps_canonical({"output": list(map(_finite_or_none, output))}))
     else:

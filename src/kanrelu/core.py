@@ -558,7 +558,11 @@ class MlpLayer(_Compiled):
         rows, bias = _affine_params(self.weight, self.bias)
         object.__setattr__(self, "weight", rows)
         object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "activation", Activation(self.activation))
+        try:
+            activation = Activation(self.activation)
+        except ValueError:
+            raise ValidationError(f"activation must be 'relu' or 'identity', got {self.activation!r}") from None
+        object.__setattr__(self, "activation", activation)
         width = len(rows[0])
         if self.weight_tags is not None:
             tags = tuple(tuple(t) for t in self.weight_tags)

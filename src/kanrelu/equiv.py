@@ -5,6 +5,13 @@ deterministic probes just left and right of every first-layer breakpoint,
 each kept only when it lies in the box.
 Exact 1-D mode compares normalized polyhedral complexes piece by piece and
 is strictly stronger than sampling.
+
+Both modes feed one comparison scan.  Each location (a checked point, or a
+piece's midpoint) scores its largest relative error over the output pairs,
+and an inf or NaN difference scores inf.  The report names the worst
+location; a tie goes to the smallest location, which in exact mode, where
+the midpoints ascend, is the first piece.  The pair passes when the worst
+error is at most ``tol``.
 """
 from __future__ import annotations
 
@@ -89,20 +96,21 @@ def halton_points(dim: int, count: int, seed: int = DEFAULT_SEED) -> list[tuple[
 
 def first_layer_input_breakpoints(net) -> dict[int, list[float]]:
     """Input-space kink locations induced by the first layer, per coordinate."""
-    points: dict[int, set[float]] = {}
     if isinstance(net, Kan):
+        kinks = (
+            (p, v)
+            for row in net.layers[0].activations
+            for p, act in enumerate(row)
+            for v in act.breakpoints
+        )
+    elif isinstance(net, Mlp) and net.input_dim == 1 and len(net.layers) > 1:
         layer = net.layers[0]
-        for row in layer.activations:
-            for p, act in enumerate(row):
-                if act.breakpoints:
-                    points.setdefault(p, set()).update(act.breakpoints)
-    elif isinstance(net, Mlp):
-        if net.input_dim == 1 and len(net.layers) > 1:
-            layer = net.layers[0]
-            for q in range(layer.n_out):
-                w = layer.weight[q][0]
-                if w != 0.0:
-                    points.setdefault(0, set()).add(-layer.bias[q] / w)
+        kinks = ((0, -b / row[0]) for row, b in zip(layer.weight, layer.bias) if row[0] != 0.0)
+    else:
+        kinks = ()
+    points: dict[int, set[float]] = {}
+    for p, v in kinks:
+        points.setdefault(p, set()).add(v)
     return {p: sorted(vals) for p, vals in points.items()}
 
 
@@ -141,12 +149,43 @@ def _probe_points(a, b, box: list[tuple[float, float]]) -> list[tuple[float, ...
     return probes
 
 
+def _scan(compared, tol: float, samples: int, mode: str) -> EquivReport:
+    """The one comparison behind every report.
+
+    ``compared`` yields ``(location, outputs of a, outputs of b)``.  An output
+    pair's error is |va - vb| / (1 + max(|va|, |vb|)) in sampled mode and
+    |va - vb| / max(1, |va|, |vb|) in exact mode.  An inf or nan difference
+    counts as inf: inf/(1+inf) is nan, and nan never compares greater than
+    the running maximum.
+    """
+    sampled = mode == "sampled"
+    max_abs = 0.0
+    max_rel = 0.0
+    worst = None
+    for location, ya, yb in compared:
+        location_rel = 0.0
+        for va, vb in zip(ya, yb):
+            abs_err = abs(va - vb)
+            if math.isfinite(abs_err):
+                big = max(abs(va), abs(vb))
+                rel_err = abs_err / (1.0 + big if sampled else max(1.0, big))
+            else:
+                abs_err = rel_err = math.inf
+            if abs_err > max_abs:
+                max_abs = abs_err
+            if rel_err > location_rel:
+                location_rel = rel_err
+        if worst is None or location_rel > max_rel or (location_rel == max_rel and location < worst):
+            max_rel = location_rel
+            worst = location
+    return EquivReport(max_abs, max_rel, worst, samples, max_rel <= tol, mode)
+
+
 def assert_equiv(a, b, box, samples: int = 1000, tol: float = 1e-8, seed: int = DEFAULT_SEED) -> EquivReport:
     """Compare two networks on a box and report the worst disagreement.
 
     The error metric is |a(x) - b(x)| / (1 + max(|a(x)|, |b(x)|)) per output
     coordinate, so the tolerance is meaningful across output magnitudes.
-    Ties on the worst point go to the lexicographically smallest point.
     A negative ``seed`` raises ``ValidationError``, as in ``halton_points``.
     """
     if a.input_dim != b.input_dim or a.output_dim != b.output_dim:
@@ -162,38 +201,8 @@ def assert_equiv(a, b, box, samples: int = 1000, tol: float = 1e-8, seed: int = 
         for unit in halton_points(a.input_dim, samples, seed)
     ]
     points.extend(_probe_points(a, b, box))
-
-    max_abs = 0.0
-    max_rel = 0.0
-    worst = points[0]
-    for point in points:
-        ya = a.evaluate(point)
-        yb = b.evaluate(point)
-        point_rel = 0.0
-        for va, vb in zip(ya, yb):
-            abs_err = abs(va - vb)
-            if math.isfinite(abs_err):
-                rel_err = abs_err / (1.0 + max(abs(va), abs(vb)))
-            else:
-                # an inf or nan output must fail: inf/(1+inf) is nan, and nan
-                # never compares greater than the running maximum
-                abs_err = rel_err = math.inf
-            if abs_err > max_abs:
-                max_abs = abs_err
-            if rel_err > point_rel:
-                point_rel = rel_err
-        if point_rel > max_rel or (point_rel == max_rel and point < worst):
-            max_rel = point_rel
-            worst = point
-
-    return EquivReport(
-        max_abs_error=max_abs,
-        max_rel_error=max_rel,
-        worst_point=worst,
-        samples=len(points),
-        passed=max_rel <= tol,
-        mode="sampled",
-    )
+    compared = ((point, a.evaluate(point), b.evaluate(point)) for point in points)
+    return _scan(compared, tol, len(points), "sampled")
 
 
 def _first_unpaired_cut(cuts_a, cuts_b) -> float | None:
@@ -231,30 +240,9 @@ def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
     if unpaired is not None:
         return EquivReport(math.inf, math.inf, (unpaired,), 0, False, "exact_1d")
 
-    max_abs = 0.0
-    max_rel = 0.0
-    worst_piece = 0
-    compared = 0
-    for i, (pa, pb) in enumerate(zip(ca.pieces, cb.pieces)):
-        piece_rel = 0.0
-        for va, vb in zip(pa.slopes + pa.intercepts, pb.slopes + pb.intercepts):
-            compared += 1
-            abs_err = abs(va - vb)
-            if math.isfinite(abs_err):
-                rel_err = abs_err / max(1.0, abs(va), abs(vb))
-            else:
-                # an inf or nan coefficient must fail, as in assert_equiv
-                abs_err = rel_err = math.inf
-            max_abs = max(max_abs, abs_err)
-            piece_rel = max(piece_rel, rel_err)
-        if piece_rel > max_rel:
-            max_rel = piece_rel
-            worst_piece = i
-    return EquivReport(
-        max_abs_error=max_abs,
-        max_rel_error=max_rel,
-        worst_point=(_midpoint(ca.cut_points, worst_piece),),
-        samples=compared,
-        passed=max_rel <= tol,
-        mode="exact_1d",
+    cuts = ca.cut_points
+    compared = (
+        ((_midpoint(cuts, i),), pa.slopes + pa.intercepts, pb.slopes + pb.intercepts)
+        for i, (pa, pb) in enumerate(zip(ca.pieces, cb.pieces))
     )
+    return _scan(compared, tol, 2 * ca.output_dim * len(ca.pieces), "exact_1d")

@@ -224,7 +224,7 @@ def _normalize(cuts: list[float], forms: list[Forms]) -> tuple[list[float], list
     return out_cuts, out_forms
 
 
-def exact_regions_1d(net: Kan | Mlp, normalize: bool = True) -> Complex1D:
+def exact_regions_1d(net: Kan | Mlp) -> Complex1D:
     """Extract the exact polyhedral complex of a 1-input network.
 
     Raises UnsupportedDimensionError for input dimension other than 1.
@@ -247,8 +247,7 @@ def exact_regions_1d(net: Kan | Mlp, normalize: bool = True) -> Complex1D:
     else:
         raise ValidationError(f"unsupported network type {type(net).__name__}")
 
-    if normalize:
-        cuts, forms = _normalize(cuts, forms)
+    cuts, forms = _normalize(cuts, forms)
     pieces = tuple(
         Piece(tuple(a for a, _ in f), tuple(b for _, b in f)) for f in forms
     )

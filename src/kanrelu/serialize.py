@@ -619,6 +619,8 @@ def loads_model(text: str):
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except ValueError as e:  # an integer literal beyond the interpreter's digit limit
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError:
+        raise ParseError("invalid JSON: nesting too deep") from None
     kind = _need(doc, "kind", str, "document")
     if kind not in KINDS:
         raise ParseError(f"document.kind: unknown kind {kind!r}")

@@ -268,3 +268,8 @@ class TestMlpEval:
     def test_bias_length_checked(self):
         with pytest.raises(ValidationError):
             MlpLayer(((1.0,),), (0.0, 0.0), Activation.IDENTITY)
+
+    def test_unknown_activation_rejected(self):
+        # raised ValueError, unlike every other constructor check
+        with pytest.raises(ValidationError, match="^activation must be 'relu' or 'identity', got 'bogus'$"):
+            MlpLayer(((1.0,),), (0.0,), "bogus")

@@ -1,8 +1,13 @@
 """Equivalence harness: sampling policy, exact 1-D mode, determinism."""
 import dataclasses
+import math
 import random
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanrelu import (
     Activation,
@@ -19,7 +24,9 @@ from kanrelu import (
     halton_points,
     kan_to_mlp,
 )
+from kanrelu import equiv
 from kanrelu.equiv import first_layer_input_breakpoints
+from kanrelu.regions import _midpoint
 
 from conftest import random_kan
 
@@ -223,3 +230,115 @@ class TestExact1D:
             mlp = kan_to_mlp(kan, ConversionMode.EXACT)
             report = equiv_exact_1d(kan, mlp, tol=1e-9)
             assert report.passed, report
+
+
+def _sampled_loop(compared):
+    """``assert_equiv``'s comparison loop as it was before the shared scan."""
+    max_abs = 0.0
+    max_rel = 0.0
+    worst = compared[0][0]
+    for point, ya, yb in compared:
+        point_rel = 0.0
+        for va, vb in zip(ya, yb):
+            abs_err = abs(va - vb)
+            if math.isfinite(abs_err):
+                rel_err = abs_err / (1.0 + max(abs(va), abs(vb)))
+            else:
+                abs_err = rel_err = math.inf
+            if abs_err > max_abs:
+                max_abs = abs_err
+            if rel_err > point_rel:
+                point_rel = rel_err
+        if point_rel > max_rel or (point_rel == max_rel and point < worst):
+            max_rel = point_rel
+            worst = point
+    return max_abs, max_rel, worst
+
+
+def _exact_loop(cuts, pieces_a, pieces_b):
+    """``equiv_exact_1d``'s comparison loop as it was before the shared scan."""
+    max_abs = 0.0
+    max_rel = 0.0
+    worst_piece = 0
+    compared = 0
+    for i, (pa, pb) in enumerate(zip(pieces_a, pieces_b)):
+        piece_rel = 0.0
+        for va, vb in zip(pa.slopes + pa.intercepts, pb.slopes + pb.intercepts):
+            compared += 1
+            abs_err = abs(va - vb)
+            if math.isfinite(abs_err):
+                rel_err = abs_err / max(1.0, abs(va), abs(vb))
+            else:
+                abs_err = rel_err = math.inf
+            max_abs = max(max_abs, abs_err)
+            piece_rel = max(piece_rel, rel_err)
+        if piece_rel > max_rel:
+            max_rel = piece_rel
+            worst_piece = i
+    return max_abs, max_rel, (_midpoint(cuts, worst_piece),), compared
+
+
+# few distinct values, so errors tie often
+_OUTPUTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e308, -1e308, math.inf, -math.inf, math.nan]) | st.floats()
+_TOLS = st.sampled_from([0.0, 1e-9, 0.5, math.inf])
+
+
+def _vectors(width, count):
+    return st.lists(st.lists(_OUTPUTS, min_size=width, max_size=width).map(tuple), min_size=count, max_size=count)
+
+
+class _Table:
+    """A 1-input network that returns a fixed output vector at each listed point."""
+
+    input_dim = 1
+
+    def __init__(self, outputs):
+        self.outputs = outputs
+        self.output_dim = len(next(iter(outputs.values())))
+
+    def evaluate(self, point):
+        return self.outputs[tuple(point)]
+
+
+class TestSharedScan:
+    def test_sampled_tie_goes_to_the_smallest_point(self):
+        kan = Kan((KanLayer(((PiecewiseLinear((0.5,), (1.0, 2.0), 0.0),),)),))
+        report = assert_equiv(kan, kan, (0.0, 1.0), samples=20)
+        assert report.max_rel_error == 0.0
+        assert report.worst_point == (0.03125,)
+
+    def test_exact_tie_goes_to_the_first_piece(self):
+        kan = Kan((KanLayer(((PiecewiseLinear((0.5,), (1.0, 2.0), 0.0),),)),))
+        report = equiv_exact_1d(kan, kan)
+        assert report.max_rel_error == 0.0
+        assert report.worst_point == (-0.5,)
+
+    @given(st.integers(1, 3), st.integers(1, 12), _TOLS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sampled_mode_matches_the_old_loop(self, width, samples, tol, data):
+        # box [0, 1] maps each Halton point to itself; a _Table has no kinks, so no probes
+        points = halton_points(1, samples)
+        ya, yb = data.draw(_vectors(width, samples)), data.draw(_vectors(width, samples))
+        report = assert_equiv(_Table(dict(zip(points, ya))), _Table(dict(zip(points, yb))), (0.0, 1.0), samples, tol)
+        max_abs, max_rel, worst = _sampled_loop(list(zip(points, ya, yb)))
+        expected = (max_abs, max_rel, worst, samples, max_rel <= tol, "sampled")
+        assert repr(dataclasses.astuple(report)) == repr(expected)
+
+    @given(st.integers(1, 3), st.lists(st.floats(-1e6, 1e6), max_size=5, unique=True), _TOLS, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_mode_matches_the_old_loop(self, width, cuts, tol, data):
+        cuts = tuple(sorted(cuts))
+        count = len(cuts) + 1
+
+        def complex_1d():
+            slopes, intercepts = data.draw(_vectors(width, count)), data.draw(_vectors(width, count))
+            pieces = tuple(SimpleNamespace(slopes=s, intercepts=b) for s, b in zip(slopes, intercepts))
+            return SimpleNamespace(cut_points=cuts, pieces=pieces, output_dim=width)
+
+        ca, cb = complex_1d(), complex_1d()
+        # the complexes stand in for the networks, so each is its own region complex
+        with mock.patch.object(equiv, "exact_regions_1d", lambda net: net):
+            report = equiv_exact_1d(ca, cb, tol)
+        max_abs, max_rel, worst, compared = _exact_loop(cuts, ca.pieces, cb.pieces)
+        expected = (max_abs, max_rel, worst, compared, max_rel <= tol, "exact_1d")
+        assert repr(dataclasses.astuple(report)) == repr(expected)

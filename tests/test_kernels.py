@@ -316,9 +316,13 @@ class TestApplyAffine:
         assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
 
 
-def _dense_regions(net, normalize):
-    with mock.patch.object(regions, "_apply_affine", dense_apply_affine):
-        return exact_regions_1d(net, normalize=normalize)
+def _regions(net, normalize, dense=False):
+    """``exact_regions_1d``, keeping every piece unless ``normalize``, through
+    the dense affine loop when ``dense``."""
+    merge = regions._normalize if normalize else lambda cuts, forms: (cuts, forms)
+    affine = dense_apply_affine if dense else regions._apply_affine
+    with mock.patch.object(regions, "_normalize", merge), mock.patch.object(regions, "_apply_affine", affine):
+        return exact_regions_1d(net)
 
 
 class TestExactRegions1D:
@@ -327,8 +331,8 @@ class TestExactRegions1D:
     def test_converted_network_matches_dense_affine(self, seed, mode, normalize):
         kan = random_kan(random.Random(seed), input_dim=1, max_width=3, max_depth=3, max_segments=5)
         mlp = kan_to_mlp(kan, mode)
-        sparse = exact_regions_1d(mlp, normalize=normalize)
-        dense = _dense_regions(mlp, normalize)
+        sparse = _regions(mlp, normalize)
+        dense = _regions(mlp, normalize, dense=True)
         assert sparse == dense
         assert repr(sparse) == repr(dense)
 
@@ -342,7 +346,7 @@ class TestExactRegions1D:
         forms = [[(INF, 0.0)]]
         assert repr(regions._apply_affine(forms, zero)) == repr(dense_apply_affine(forms, zero))
         assert math.isnan(regions._apply_affine(forms, zero)[0][0][0])
-        assert repr(exact_regions_1d(mlp, normalize=False)) == repr(_dense_regions(mlp, False))
+        assert repr(_regions(mlp, normalize=False)) == repr(_regions(mlp, normalize=False, dense=True))
 
 
 _ZERO_SPLINES = (

@@ -638,6 +638,16 @@ class TestValidationOnLoad:
         assert (code, out) == (1, "")
         assert "Traceback" not in err
 
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        # json.loads raised RecursionError, which ended eval in a traceback
+        text = "[" * 100_000 + "]" * 100_000
+        with pytest.raises(ParseError, match="^invalid JSON: nesting too deep$"):
+            loads_model(text)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli(["eval", path, "--input", "1"])
+        assert (code, out, err) == (1, "", "error: invalid JSON: nesting too deep\n")
+
     def test_file_that_is_not_utf8_rejected(self, tmp_path):
         # used to end in a UnicodeDecodeError traceback
         path = tmp_path / "utf16.json"
@@ -803,6 +813,15 @@ class TestCliExitCodes:
         code, out, err = run_cli(["eval", model, f"--input={point}"])
         assert (code, out) == (2, "")
         assert err == f"eval --input coordinates must be finite, got {point!r}\n"
+
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "eval --input coordinates must be finite, got 'nan'\n"),
+        ("1,x", "could not parse --input '1,x'\n"),
+    ], ids=["nan", "unparsable"])
+    def test_eval_bad_input_exits_two_before_loading(self, value, message, tmp_path):
+        # a missing model file used to exit 1 first
+        code, out, err = run_cli(["eval", tmp_path / "missing.json", f"--input={value}"])
+        assert (code, out, err) == (2, "", message)
 
     def test_eval_json_writes_non_finite_output_as_null(self):
         # a finite input whose output overflows; --json used to exit 1
