@@ -9,6 +9,7 @@ as the oracle for the region-count bounds.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
@@ -86,13 +87,24 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 
 def _midpoint(cuts: Sequence[float], index: int) -> float:
+    """A finite point inside piece ``index``, strictly inside wherever a float is.
+
+    An end piece takes the point one unit out from its cut, an inner piece
+    the mean of its cuts.  Past 2**53 a unit step rounds back onto the cut,
+    so the next float out is taken; past about 9e307 the sum of two cuts
+    overflows, so their halves are added.
+    """
     if not cuts:
         return 0.0
     if index == 0:
-        return cuts[0] - 1.0
+        m = cuts[0] - 1.0
+        return m if m < cuts[0] else max(math.nextafter(m, -math.inf), -sys.float_info.max)
     if index == len(cuts):
-        return cuts[-1] + 1.0
-    return 0.5 * (cuts[index - 1] + cuts[index])
+        m = cuts[-1] + 1.0
+        return m if m > cuts[-1] else min(math.nextafter(m, math.inf), sys.float_info.max)
+    a, b = cuts[index - 1], cuts[index]
+    m = 0.5 * (a + b)
+    return m if math.isfinite(m) else 0.5 * a + 0.5 * b
 
 
 def _merge_cuts(cuts: Sequence[float], candidates: Sequence[float]) -> list[float]:

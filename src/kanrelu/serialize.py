@@ -3,6 +3,18 @@
 Documents are written canonically: fixed field order, two-space indent and
 floats printed with 17 significant digits, so saving a loaded file is
 byte-stable and numeric round trips are exact.
+
+Documents are read once per repeated row: the reader walks the envelope,
+payload, layer or block objects and KAN grids, and hands each row of a
+weight or tag matrix to the C scanner of ``json`` unless the same row text
+was already read in that matrix, in which case the earlier list is used
+again.  A converted MLP's hidden rows repeat a few distinct rows, so its
+file loads in a fraction of the time and memory of ``json.loads``; a matrix
+whose rows do not repeat stops the lookup once it has read more than twice
+as many rows as columns (see ``_Reader.read_rows``).  ``load`` reads a
+regular file in chunks of ``_CHUNK`` characters and never holds its whole
+text.  Text the reader cannot read is decoded again, whole, by
+``json.loads``, which words the error.
 """
 from __future__ import annotations
 
@@ -10,6 +22,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import struct
 from collections import defaultdict
 from itertools import compress, repeat
@@ -426,6 +439,23 @@ def _floats(values: Any, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
+def _each_row_once(values: list, convert: Callable[[int, Any], Any]) -> tuple:
+    """``convert(i, row)`` for each row of ``values``, called once per run of one row object.
+
+    The reader hands out one list per distinct row text, and a converted
+    layer's repeated rows come in runs (the breakpoint units of one
+    activation read one input), so each run is converted once.
+    """
+    out = []
+    last = shared = None
+    for i, row in enumerate(values):
+        if row is not last:
+            shared = convert(i, row)
+            last = row
+        out.append(shared)
+    return tuple(out)
+
+
 def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
     """Rows of floats, each distinct row one shared tuple.
 
@@ -435,8 +465,8 @@ def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
     if not isinstance(values, list):
         raise ParseError(f"{where}: expected a list of rows")
     rows: dict[bytes, tuple[float, ...]] = {}
-    out = []
-    for i, row in enumerate(values):
+
+    def convert(i: int, row: Any) -> tuple[float, ...]:
         try:
             if type(row) is not list or not _NUMBER.issuperset(map(type, row)):  # bool is not a number here
                 raise TypeError
@@ -447,8 +477,9 @@ def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
         shared = rows.get(key)
         if shared is None:
             shared = rows[key] = tuple(map(float, row))  # keeps the parsed float objects
-        out.append(shared)
-    return tuple(out)
+        return shared
+
+    return _each_row_once(values, convert)
 
 
 def _tags(values: Any, where: str):
@@ -461,15 +492,15 @@ def _tags(values: Any, where: str):
 def _tag_matrix(values: list, where: str):
     """Rows of tags, each distinct row one shared tuple."""
     rows: dict[tuple, tuple] = {}
-    out = []
-    for i, row in enumerate(values):
+
+    def convert(i: int, row: Any) -> tuple:
         row = _tags(row, f"{where}[{i}]")
         try:
-            row = rows.setdefault(row, row)
+            return rows.setdefault(row, row)
         except TypeError:  # an unhashable tag, which MlpLayer rejects
-            pass
-        out.append(row)
-    return tuple(out)
+            return row
+
+    return _each_row_once(values, convert)
 
 
 def _parse_pl(doc: Any, where: str) -> PiecewiseLinear:
@@ -612,15 +643,282 @@ _PARSERS = {
 }
 
 
-def loads_model(text: str):
+_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+_scan = json.JSONDecoder().scan_once  # the C scanner json.loads runs: one value at an index
+
+# The layout the reader walks: a dict names the fields of an object that it
+# walks into, a one-item list gives the layout of each item of a list, _ROWS
+# marks a list of rows and _BATCHES a long list of short rows, the sparse
+# triplets.  Every other value is scanned whole.
+_ROWS, _BATCHES = object(), object()
+_LAYER = {"weight": _ROWS, "weight_tags": _ROWS, "activations": [None], "weight_sparse": {"triplets": _BATCHES}}
+_DOCUMENT = {"payload": {"layers": [_LAYER], "blocks": [_LAYER], "readout": _LAYER}}
+# Numbers the reader parses again, at most, when it finds that a list's rows
+# do not repeat: the C scanner reads narrow rows faster than a row loop does.
+_REREAD = 4096
+_CHUNK = 1 << 14  # characters a file is read in
+
+
+class _Reader:
+    """A model document's text, walked by index.
+
+    Each ``read_*`` method takes the index where a value starts in ``text``
+    and returns the value and the index after it.  This reader holds the
+    whole text; ``_FileReader`` holds a window of a file, which ``more``
+    moves on, so a caller reads ``text`` again after each call.
+    """
+
+    base = 0  # where ``text`` starts in the document
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def more(self, i: int) -> int:
+        """Read on past the end of ``text``, keeping ``text[i:]``; the new
+        index of ``i``, or -1 when the document has no more text."""
+        return -1
+
+    def keep(self, i: int, key: str) -> Any:
+        """What a recorded row keeps to compare later rows with: here the
+        index of its text ``key``, which this reader holds throughout."""
+        return i
+
+    def same(self, kept: Any, key: str) -> bool:
+        """Whether a row whose text is ``key`` has the text of a recorded row."""
+        return self.text.startswith(key, kept)
+
+    def skip(self, i: int) -> int:
+        """The index of the first non-space character at or after ``i``, or
+        ``len(text)`` at the end of the document."""
+        while (i := _SPACE(self.text, i).end()) == len(self.text) and (j := self.more(i)) >= 0:
+            i = j
+        return i
+
+    def after(self, i: int, char: str) -> int:
+        """The index past ``char`` at ``text[i]`` and the spaces after it."""
+        if self.text[i] != char:
+            raise ValueError(f"expected {char!r} at index {i}")
+        return self.skip(i + 1)
+
+    def scan(self, i: int) -> tuple[Any, int]:
+        """The value at ``text[i]``, read whole by the C scanner."""
+        while True:
+            try:
+                value, end = _scan(self.text, i)
+            except (ValueError, StopIteration):  # malformed, or cut short by the end of ``text``
+                if (i := self.more(i)) < 0:
+                    raise
+                continue
+            # a number cut short scans as a shorter one, "1." or "1e-" as 1, so
+            # two more characters must follow it in ``text``
+            if end + 2 < len(self.text) or (j := self.more(i)) < 0:
+                return value, end
+            i = j
+
+    def read_rows(self, i: int) -> tuple[list, int]:
+        """A list of rows; a row whose text was read before in this list is not parsed again.
+
+        A row's text runs from its ``[`` to the first ``]``.  When that text
+        scans as a whole list and holds no ``{``, the row is recorded by the
+        hash of the text and by what ``keep`` gives, so a later row with equal
+        text (compared, not only hashed) is an equal list of scalars and gets
+        the same list.  A row that holds a container, or a string with a
+        ``]``, is scanned whole and not recorded.
+
+        Before its first repeat, the first layer of a converted MLP meets two
+        distinct rows per column (its ``±e_p`` rows), and a later layer two per
+        input of the KAN layer it lowers, which is at most one per column when
+        each output of the KAN layer before has a breakpoint.  So once the rows
+        read outnumber twice the repeats plus twice the row width, the rows are
+        taken not to repeat: the whole list goes to the C scanner again, in
+        batches if it is longer than a window, if the rows read so far hold at
+        most ``_REREAD`` numbers (and the window still holds the list's start),
+        else the rest is scanned row by row.
+        """
+        start = self.base + i
+        rows: list = []
+        seen: dict[int, tuple[list, Any]] | None = {}  # hash of a row's text -> (row, what keep gave)
+        hits = 0
+        i = self.skip(i + 1)
+        if self.text[i] == "]":
+            return rows, i + 1
+        while True:
+            text = self.text
+            if seen is None or text[i] != "[":
+                row, i = self.scan(i)
+            else:
+                close = text.find("]", i) + 1
+                while not close:  # the row goes on past the end of ``text``
+                    if (i := self.more(i)) < 0:
+                        raise ValueError("unclosed row")
+                    text = self.text
+                    close = text.find("]", i) + 1
+                key = text[i:close]
+                h = hash(key)
+                first = seen.get(h)
+                if first is not None and self.same(first[1], key):
+                    row, i = first[0], close
+                    hits += 1
+                else:
+                    try:
+                        row, _ = _scan(key, 0)
+                    except ValueError:  # a nested list or a string with "]": the row goes on
+                        row, i = self.scan(i)
+                    else:
+                        if "{" not in key and h not in seen:
+                            seen[h] = (row, self.keep(i, key))
+                        i = close
+                    if len(rows) + 1 > 2 * (hits + len(row)):  # the rows do not repeat
+                        if (len(rows) + 1) * len(row) <= _REREAD and start >= self.base:
+                            return self.read_batches(start - self.base)
+                        seen = None
+            rows.append(row)
+            i = self.skip(i)
+            if self.text[i] == "]":
+                return rows, i + 1
+            i = self.after(i, ",")
+
+    def read_batches(self, i: int) -> tuple[list, int]:
+        """A list scanned whole if ``text`` holds all of it, else in batches.
+
+        A batch is the items from ``i`` to the last ``]`` in ``text``, put
+        between brackets and scanned as one list, which is what the C
+        scanner reads there when that ``]`` ends an item.  When it does not
+        (the list ends before it, or an item holds a list), the items are
+        scanned one by one until the window moves.  So a list far longer
+        than a window is scanned about once, not once per window size tried.
+        """
+        try:
+            return _scan(self.text, i)  # a list ends at its "]", so no number is cut short
+        except (ValueError, StopIteration):
+            pass
+        items: list = []
+        failed = None  # the window a batch last failed in
+        i = self.skip(i + 1)
+        if self.text[i] == "]":
+            return items, i + 1
+        while True:
+            text = self.text
+            cut = text.rfind("]", i) + 1
+            batch = None
+            if cut and failed != (self.base, len(text)):
+                with contextlib.suppress(ValueError, StopIteration):
+                    batch, end = _scan(f"[{text[i:cut]}]", 0)
+                    if end != cut - i + 2:
+                        batch = None
+            if batch is None:
+                failed = self.base, len(text)
+                item, i = self.scan(i)
+                items.append(item)
+            else:
+                items += batch
+                i = cut
+            i = self.skip(i)
+            if self.text[i] == "]":
+                return items, i + 1
+            i = self.after(i, ",")
+
+    def read_list(self, i: int, layout: Any) -> tuple[list, int]:
+        items: list = []
+        i = self.skip(i + 1)
+        if self.text[i] == "]":
+            return items, i + 1
+        while True:
+            item, i = self.read(i, layout)
+            items.append(item)
+            i = self.skip(i)
+            if self.text[i] == "]":
+                return items, i + 1
+            i = self.after(i, ",")
+
+    def read_object(self, i: int, fields: dict) -> tuple[dict, int]:
+        doc: dict = {}
+        i = self.skip(i + 1)
+        if self.text[i] == "}":
+            return doc, i + 1
+        while True:
+            if self.text[i] != '"':
+                raise ValueError(f"expected a key at index {i}")
+            key, i = self.scan(i)
+            value, i = self.read(self.after(self.skip(i), ":"), fields.get(key))
+            doc[key] = value  # a repeated key keeps its first place and its last value, as in json.loads
+            i = self.skip(i)
+            if self.text[i] == "}":
+                return doc, i + 1
+            i = self.after(i, ",")
+
+    def read(self, i: int, layout: Any) -> tuple[Any, int]:
+        """The value at ``text[i]``, walked as ``layout`` says."""
+        opener = self.text[i]
+        if opener == "{" and type(layout) is dict:
+            return self.read_object(i, layout)
+        if opener == "[" and layout is _ROWS:
+            return self.read_rows(i)
+        if opener == "[" and layout is _BATCHES:
+            return self.read_batches(i)
+        if opener == "[" and type(layout) is list:
+            return self.read_list(i, layout[0])
+        return self.scan(i)
+
+
+class _FileReader(_Reader):
+    """A text file read ``_CHUNK`` characters at a time: it holds a window
+    of the text, never all of it, so a recorded row keeps its own text."""
+
+    def __init__(self, file):
+        self.file = file
+        self.text = file.read(_CHUNK)
+
+    def more(self, i: int) -> int:
+        # at least as much as is kept, so a value longer than a window is scanned O(log n) times
+        chunk = self.file.read(max(_CHUNK, len(self.text) - i))
+        if not chunk:
+            return -1
+        self.text = self.text[i:] + chunk
+        self.base += i
+        return 0
+
+    def keep(self, i: int, key: str) -> str:
+        return key
+
+    def same(self, kept: str, key: str) -> bool:
+        return kept == key
+
+
+def _read_document(text) -> Any:
+    """Decode a model document as ``json.loads`` does, reading each repeated row once.
+
+    ``text`` is the document, or a text file holding it, which is read in
+    chunks.  The envelope, payload, layer or block objects and KAN grids are
+    walked here; each row of a weight or tag matrix goes to the C scanner,
+    unless the same text was read before in that matrix (see
+    ``_Reader.read_rows``).  Fails with ValueError (a UnicodeDecodeError
+    too), IndexError, StopIteration or RecursionError on malformed text.
+    """
+    reader = _Reader(text) if isinstance(text, str) else _FileReader(text)
+    doc, i = reader.read(reader.skip(0), _DOCUMENT)
+    if reader.skip(i) != len(reader.text):
+        raise ValueError(f"extra data at index {i}")
+    return doc
+
+
+# what the reader raises on malformed text; json.loads then words the error
+_READ_ERRORS = (ValueError, IndexError, StopIteration, RecursionError)
+
+
+def _loads_json(text: str) -> Any:
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from e
     except ValueError as e:  # an integer literal beyond the interpreter's digit limit
         raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError:
         raise ParseError("invalid JSON: nesting too deep") from None
+
+
+def _model(doc: Any):
+    """The model a decoded document describes."""
     kind = _need(doc, "kind", str, "document")
     if kind not in KINDS:
         raise ParseError(f"document.kind: unknown kind {kind!r}")
@@ -636,7 +934,31 @@ def loads_model(text: str):
     return _PARSERS[kind](payload)
 
 
+def loads_model(text: str):
+    if not isinstance(text, str):  # bytes, which json.loads decodes
+        return _model(_loads_json(text))
+    try:
+        doc = _read_document(text)
+    except _READ_ERRORS:
+        doc = _loads_json(text)  # json.loads decodes the text again, so it finds and words the error
+    return _model(doc)
+
+
 def load(path):
+    """The model in the file at ``path``.
+
+    A regular file is read in chunks, never whole.  If it does not read, it
+    is read again whole, so the error is found and worded as before; any
+    other file, such as a pipe, which could not be read twice, is read whole.
+    """
+    if os.path.isfile(path):
+        try:
+            with open(path, encoding="utf-8") as f:
+                doc = _read_document(f)
+        except _READ_ERRORS:
+            pass
+        else:
+            return _model(doc)
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:

@@ -66,6 +66,11 @@ def build_fixtures() -> None:
     far_kink = PiecewiseLinear((-1e308,), (0.0, 1.0), 0.0)
     save(Kan((KanLayer(((big_intercept,),)), KanLayer(((far_kink,),)))), FIXTURES / "overflow_fold_kan.json")
 
+    # two 1-1 KANs that agree right of a kink beyond 2**53 and differ left of it
+    kink = -1e17
+    save(Kan((KanLayer(((PiecewiseLinear((kink,), (0.0, 1.0), 0.0),),)),)), FIXTURES / "far_kink_kan.json")
+    save(Kan((KanLayer(((PiecewiseLinear((kink,), (5.0, 1.0), 5e17),),)),)), FIXTURES / "far_kink_other_kan.json")
+
     spline = PolySegmentSpline((0.0,), ((0.0, 0.0, 1.0), (0.0, 0.0, -1.0)), 2)
     lowered = bspline_to_monomial_relu(spline)
     save(lowered, FIXTURES / "square_flip_monomial.json")

@@ -175,6 +175,16 @@ class TestExact1D:
         report = equiv_exact_1d(a, b, tol=1e-9)
         assert not report.passed
 
+    def test_pair_differing_beyond_a_far_kink_fails(self):
+        # one unit left of the kink at -1e17 is the kink itself, so the left
+        # pieces, which differ by 1e18 at -3e17, were never compared
+        a = Kan((KanLayer(((PiecewiseLinear((-1e17,), (0.0, 1.0), 0.0),),)),))
+        b = Kan((KanLayer(((PiecewiseLinear((-1e17,), (5.0, 1.0), 5e17),),)),))
+        assert b.evaluate((-3e17,))[0] - a.evaluate((-3e17,))[0] == -1e18
+        report = equiv_exact_1d(a, b, tol=1e-9)
+        assert not report.passed
+        assert report.worst_point[0] < -1e17
+
     @pytest.mark.parametrize(
         "cuts_a, cuts_b, witness",
         [

@@ -1,7 +1,11 @@
 """Exact 1-D region extraction, composition bound and the 2-D fingerprint."""
+import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kanrelu import (
     ConversionMode,
@@ -11,12 +15,14 @@ from kanrelu import (
     UnsupportedDimensionError,
     ValidationError,
     composition_segment_bound,
+    equiv_exact_1d,
     exact_regions_1d,
     grid_fingerprint_2d,
     kan_region_upper_bound,
     kan_to_mlp,
     relu_region_upper_bound,
 )
+from kanrelu.regions import _midpoint
 
 from conftest import random_kan, random_mlp, random_pl
 
@@ -101,6 +107,48 @@ class TestExactRegions1D:
         assert complex_1d.region_count == 1
         # right-segment formula at s=0: 3*0 + 0
         assert complex_1d.pieces[0].value(0.0) == (0.0,)
+
+    def test_kink_beyond_2_53_keeps_its_end_piece(self):
+        # one unit out from a cut at 1e17 rounds back onto it, so the left
+        # piece took the right piece's form: 1 region, and -1e17 at 0
+        kan = Kan((KanLayer(((PiecewiseLinear((1e17,), (0.0, 1.0), 0.0),),)),))
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        for net in (kan, mlp):
+            complex_1d = exact_regions_1d(net)
+            assert complex_1d.cut_points == (1e17,)
+            assert complex_1d.region_count == 2
+            for x in (0.0, -3e17, 3e17):
+                assert complex_1d.evaluate(x) == kan.evaluate((x,))
+        assert equiv_exact_1d(kan, mlp, tol=1e-9).passed
+
+    def test_cuts_beyond_half_the_float_range(self):
+        # the mean of two cuts past 9e307 overflowed to inf, and extraction
+        # raised "complex is discontinuous at cut 1.5e+308"
+        act = PiecewiseLinear((1.5e308, 1.6e308), (0.0, 1e-300, 0.0), 0.0)
+        complex_1d = exact_regions_1d(Kan((KanLayer(((act,),)),)))
+        assert complex_1d.cut_points == (1.5e308, 1.6e308)
+        assert complex_1d.region_count == 3
+
+
+_CUTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [2.0**53, -1e17, 1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max]
+)
+
+
+@given(st.lists(_CUTS, min_size=1, max_size=4, unique=True))
+@settings(max_examples=300, deadline=None)
+def test_midpoint_lies_inside_its_piece(cuts):
+    cuts.sort()
+    ends = [-math.inf, *cuts, math.inf]
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        old = cuts[0] - 1.0 if i == 0 else cuts[-1] + 1.0 if i == len(cuts) else 0.5 * (lo + hi)
+        m = _midpoint(cuts, i)
+        assert math.isfinite(m)
+        if lo < old < hi:
+            assert repr(m) == repr(old)  # the bits of the old midpoint where it was inside
+        first_inside = math.nextafter(lo, math.inf) if lo > -math.inf else -sys.float_info.max
+        if first_inside < hi:
+            assert lo < m < hi
 
 
 class TestCompositionBound:

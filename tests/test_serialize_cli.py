@@ -7,6 +7,7 @@ import os
 import random
 import re
 import stat
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -388,6 +389,18 @@ def _kan_of_widths(rng, widths, segments):
     ))
 
 
+def _dense_mlp(rng, widths):
+    """An MLP of random weights, so no two rows repeat."""
+    return Mlp(tuple(
+        MlpLayer(
+            tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(n_in)) for _ in range(n_out)),
+            tuple(rng.uniform(-2.0, 2.0) for _ in range(n_out)),
+            Activation.IDENTITY if i == len(widths) - 2 else Activation.RELU,
+        )
+        for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))
+    ))
+
+
 class TestStreamingSave:
     @given(_models(), st.sampled_from([3, 64, _CanonicalEncoder.FLUSH_PIECES]))
     @settings(max_examples=120, deadline=None)
@@ -515,6 +528,365 @@ class TestSharedRows:
         assert mlp.widths == (16, 1824, 1824, 1824, 16)
         for layer, source in zip(mlp.layers[:-1], kan.layers):
             assert len({id(row) for row in layer.weight}) <= 2 * source.n_in
+
+
+# JSON texts of scalars, with the spellings json.loads accepts beyond the
+# canonical writer's: NaN, infinities, -0, exponents, escapes, and strings
+# that hold brackets, braces or quotes
+_SCALAR_TEXTS = st.one_of(
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0", "0", "-0.0", "0.0", "1E-2", "1e400", "true",
+                     "false", "null", '"]"', '"["', '"{"', '"a]b"', '"\\u005d"', '"\\"]"', '"\\\\"', '"free"']),
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+    st.text(alphabet='ab[]{},:\\"\n é', max_size=5).map(json.dumps),
+)
+_GAPS = ["", " ", "\n", "\n    ", "\t", "\r\n  "]
+
+
+@st.composite
+def _json_texts(draw):
+    """A model-shaped JSON text: weight and tag matrices with repeated rows,
+    some respaced, rows that hold a list or an object, repeated keys, and
+    whitespace either one fixed gap everywhere or drawn gap by gap."""
+    fixed = draw(st.sampled_from([None, "", " ", "\n  "]))
+
+    def gap():
+        return fixed if fixed is not None else draw(st.sampled_from(_GAPS))
+
+    def array(items):
+        if not items:
+            return "[" + gap() + "]"
+        return "[" + gap() + (gap() + "," + gap()).join(items) + gap() + "]"
+
+    def obj(pairs):
+        pairs = draw(st.permutations(pairs))
+        body = (gap() + "," + gap()).join(f"{json.dumps(k)}{gap()}:{gap()}{v}" for k, v in pairs)
+        return "{" + gap() + body + gap() + "}"
+
+    def scalars(max_size=4):
+        return array(draw(st.lists(_SCALAR_TEXTS, max_size=max_size)))
+
+    def row():
+        shape = draw(st.sampled_from(["scalars", "scalars", "scalars", "list", "object"]))
+        if shape == "list":
+            return array([scalars(2), draw(_SCALAR_TEXTS)])
+        if shape == "object":
+            return array([obj([("k", draw(_SCALAR_TEXTS))])])
+        return scalars()
+
+    def matrix():
+        if draw(st.integers(0, 9)) == 0:
+            return draw(_SCALAR_TEXTS)  # a matrix that is no list
+        distinct = [row() for _ in range(draw(st.integers(1, 3)))]
+        picks = draw(st.lists(st.tuples(st.integers(0, len(distinct) - 1), st.booleans()), max_size=8))
+        return array([distinct[i].replace("[", "[ ", 1) if respaced else distinct[i] for i, respaced in picks])
+
+    def layer():
+        pairs = [("weight", matrix()), ("weight_tags", matrix()), ("bias", scalars()), ("activation", '"relu"')]
+        if draw(st.booleans()):
+            pairs.append(("weight", matrix()))  # a repeated key keeps its last value
+        if draw(st.booleans()):
+            pairs.append(("weight_sparse", obj([("shape", "[2, 2]"), ("triplets", matrix())])))
+        return obj(pairs)
+
+    payload = obj([
+        ("layers", array([layer() for _ in range(draw(st.integers(0, 2)))])),
+        ("blocks", array([layer() for _ in range(draw(st.integers(0, 1)))])),
+        ("readout", layer()),
+    ])
+    document = obj([("kind", '"mlp"'), ("version", '"1"'), ("payload", payload), ("metadata", "{}")])
+    top = draw(st.sampled_from(["document", "document", "document", "matrix"]))
+    return gap() + (document if top == "document" else matrix()) + gap()
+
+
+def _object_ids(value):
+    """The id of each dict met walking ``value``, a shared list walked each time."""
+    if isinstance(value, dict):
+        yield id(value)
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            yield from _object_ids(item)
+
+
+def _outcome(text, reader=True):
+    """The repr of the model ``loads_model`` reads from ``text``, or its
+    error's type and message; with ``reader`` false, json.loads decodes."""
+    with contextlib.ExitStack() as stack:
+        if not reader:
+            stack.enter_context(mock.patch.object(serialize, "_read_document", side_effect=ValueError))
+        try:
+            return repr(loads_model(text))
+        except (ParseError, ValidationError) as e:
+            return type(e).__name__, str(e)
+
+
+class TestRowReader:
+    @given(_json_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_reads_what_json_loads_reads(self, text):
+        doc = serialize._read_document(text)
+        assert repr(doc) == repr(json.loads(text))
+        # equal rows may share one list, but no object is shared
+        objects = list(_object_ids(doc))
+        assert len(objects) == len(set(objects))
+
+    @given(_json_texts(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_text_gives_what_json_loads_gives(self, text, data):
+        at = data.draw(st.integers(0, len(text)))
+        damage = data.draw(st.sampled_from(["cut", "drop", "insert", "replace"]))
+        char = data.draw(st.sampled_from(list('[]{},:;"0 -eE\\')))
+        if damage == "cut":
+            text = text[:at]
+        elif damage == "drop":
+            text = text[:at] + text[at + 1:]
+        elif damage == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + char + text[at + 1:]
+        assert _outcome(text) == _outcome(text, reader=False)
+
+    def test_truncated_file_errors_keep_their_messages(self):
+        text = (FIXTURES / "three_segment_mlp.json").read_text()
+        for end in range(len(text)):
+            outcome = _outcome(text[:end])
+            assert outcome == _outcome(text[:end], reader=False)
+            if end < len(text.rstrip()):
+                assert outcome[1].startswith("invalid JSON at line ")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: t + "x", "Extra data"),
+        (lambda t: t + "{}", "Extra data"),
+        (lambda t: t.replace(":", ";", 1), "Expecting ':' delimiter"),
+        (lambda t: t.replace("],", "];", 1), "Expecting ',' delimiter"),
+        (lambda t: "\ufeff" + t, "Unexpected UTF-8 BOM"),
+        (lambda t: re.sub(r"\[\s*1\b", lambda m: m.group() + "0" * 5000, t, count=1), "invalid JSON: "),
+        (lambda t: t.replace('"weight": [', '"weight": [' + "[" * 100_000 + "]" * 100_000 + ",", 1),
+         "invalid JSON: nesting too deep"),
+    ], ids=["trailing_text", "trailing_object", "colon", "comma", "bom", "digit_limit", "nested_row"])
+    def test_malformed_file_keeps_its_message(self, edit, message):
+        text = edit((FIXTURES / "three_segment_mlp.json").read_text())
+        assert text != (FIXTURES / "three_segment_mlp.json").read_text()
+        outcome = _outcome(text)
+        assert outcome == _outcome(text, reader=False)
+        if message != "invalid JSON: " or sys.version_info >= (3, 11):  # 3.10 has no digit limit
+            assert outcome[0] == "ParseError" and message in outcome[1]
+
+    @pytest.mark.parametrize("chunk", [16, 64, serialize._CHUNK])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda t: re.sub(r'("structural"\s*\])(\s*\])', r"\1,\2", t, count=1), "Expecting value"),
+        (lambda t: t.replace('"structural"\n            ],', '"structural"\n            ];', 1), "Expecting ','"),
+    ], ids=["trailing_comma", "semicolon"])
+    def test_malformed_triplets_keep_their_message(self, tmp_path, edit, message, chunk):
+        text = edit((FIXTURES / "three_segment_mlp_sparse.json").read_text())
+        assert text != (FIXTURES / "three_segment_mlp_sparse.json").read_text()
+        path = tmp_path / "sparse.json"
+        path.write_text(text)
+        with mock.patch.object(serialize, "_CHUNK", chunk):
+            with pytest.raises(ParseError, match=message) as raised:
+                load(path)
+        assert ("ParseError", str(raised.value)) == _outcome(text) == _outcome(text, reader=False)
+
+    def test_each_distinct_row_is_one_tuple(self):
+        kan = _kan_of_widths(random.Random(11), (4, 4, 4, 4), 6)
+        text = dumps_model(kan_to_mlp(kan, ConversionMode.EXACT))
+        with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan, \
+                mock.patch.object(serialize.struct, "pack", side_effect=serialize.struct.pack) as pack:
+            loaded = loads_model(text)
+        distinct = 0
+        for layer in loaded.layers:
+            for matrix in (layer.weight, layer.weight_tags):
+                by_text = {}
+                for row in matrix:
+                    assert by_text.setdefault(repr(row), row) is row
+                distinct += len(by_text)
+        assert distinct < sum(layer.n_out for layer in loaded.layers)
+        # each run of one weight row is keyed by its bytes once
+        runs = sum(1 + sum(a is not b for a, b in zip(layer.weight, layer.weight[1:])) for layer in loaded.layers)
+        assert pack.call_count == runs < sum(layer.n_out for layer in loaded.layers)
+        # one scan per distinct row, and one per key and per other value
+        assert scan.call_count <= distinct + 12 * len(loaded.layers) + 8
+
+    def test_well_formed_files_are_not_decoded_again(self):
+        texts = [dumps_model(kan_to_mlp(_kan_of_widths(random.Random(5), (3, 3, 3), 4), ConversionMode.EXACT))]
+        texts += [dumps_model(_dense_mlp(random.Random(6), widths)) for widths in ((2, 300, 1), (60, 200, 2))]
+        texts += [(FIXTURES / name).read_text() for name in ("three_segment_mlp.json", "square_flip_monomial.json")]
+        expected = [_outcome(text, reader=False) for text in texts]
+        with mock.patch.object(serialize, "_loads_json", side_effect=AssertionError("decoded again")):
+            assert [repr(loads_model(text)) for text in texts] == expected
+
+    @pytest.mark.parametrize("widths, rescanned", [((2, 300, 1), True), ((60, 200, 2), False)],
+                             ids=["narrow_rows", "wide_rows"])
+    def test_rows_that_do_not_repeat_stop_the_lookup(self, widths, rescanned):
+        text = dumps_model(_dense_mlp(random.Random(8), widths))
+        with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
+            doc = serialize._read_document(text)
+        assert repr(doc) == repr(json.loads(text))
+        # narrow rows: the first 2 * width + 1 rows, then the whole list again;
+        # wide rows: each row once, the lookup stopped after 2 * width + 1 rows
+        row_scans = sum(1 for call in scan.call_args_list if call.args[0][call.args[1]] == "[")
+        n_in, n_out = widths[0], widths[1]
+        assert row_scans == (2 * n_in + 1 + 1 if rescanned else n_out) + widths[2] + len(widths) - 1
+        hashed = mock.patch.object(serialize, "hash", create=True, side_effect=hash)
+        with hashed as key_hash:
+            serialize._read_document(text)
+        assert key_hash.call_count == 2 * n_in + 1 + widths[2]
+
+    def test_rows_whose_hashes_collide_stay_apart(self, tmp_path):
+        text = dumps_model(kan_to_mlp(_kan_of_widths(random.Random(4), (3, 3, 3), 4), ConversionMode.EXACT))
+        expected = _outcome(text, reader=False)
+        path = tmp_path / "mlp.json"
+        path.write_text(text)
+        with mock.patch.object(serialize, "hash", create=True, return_value=0):
+            assert _outcome(text) == expected
+            assert repr(load(path)) == expected
+
+    def test_rows_that_do_not_repeat_cost_no_memory(self):
+        text = dumps_model(_dense_mlp(random.Random(9), (120, 120, 120, 1)))
+        peaks = []
+        for reader in (False, True):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                _outcome(text, reader)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.05 * peaks[0]
+
+    def test_load_peak_memory_is_a_fraction_of_the_text(self):
+        kan = _kan_of_widths(random.Random(7), (4, 4, 4, 4), 6)
+        text = dumps_model(kan_to_mlp(kan, ConversionMode.EXACT))
+        tracemalloc.start()
+        try:
+            loads_model(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(text) / 2
+
+    @given(_json_texts(), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_file_read_in_chunks_reads_what_json_loads_reads(self, text, chunk):
+        with mock.patch.object(serialize, "_CHUNK", chunk):
+            doc = serialize._read_document(io.StringIO(text))
+        assert repr(doc) == repr(json.loads(text))
+        objects = list(_object_ids(doc))
+        assert len(objects) == len(set(objects))
+
+    @given(_json_texts(), st.integers(1, 9), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_damaged_file_read_in_chunks_fails_as_the_text_does(self, text, chunk, data):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(list('[]{},:"0 e\\'))) + text[at + 1:]
+        outcomes = []
+        for source in (text, io.StringIO(text)):
+            try:
+                with mock.patch.object(serialize, "_CHUNK", chunk):
+                    outcomes.append(repr(serialize._read_document(source)))
+            except serialize._READ_ERRORS:
+                outcomes.append("error")
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, serialize._CHUNK])
+    def test_load_of_truncated_file_keeps_its_message(self, tmp_path, chunk):
+        text = (FIXTURES / "three_segment_mlp.json").read_text()
+        path = tmp_path / "cut.json"
+        with mock.patch.object(serialize, "_CHUNK", chunk):
+            for end in range(0, len(text) + 1, 3 if chunk < 64 else 1):
+                path.write_text(text[:end])
+                try:
+                    outcome = repr(load(path))
+                except (ParseError, ValidationError) as e:
+                    outcome = type(e).__name__, str(e)
+                assert outcome == _outcome(text[:end])
+
+    def test_load_reads_the_file_once_in_chunks(self, tmp_path):
+        kan = _kan_of_widths(random.Random(7), (4, 4, 4, 4), 6)
+        text = dumps_model(kan_to_mlp(kan, ConversionMode.EXACT))
+        path = tmp_path / "mlp.json"
+        path.write_text(text)
+        with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
+            expected = repr(loads_model(text))
+        text_scans = scan.call_count
+        with mock.patch.object(serialize, "_loads_json", side_effect=AssertionError("decoded again")), \
+                mock.patch.object(Path, "read_text", side_effect=AssertionError("read whole")):
+            tracemalloc.start()
+            try:
+                loaded = load(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
+                load(path)
+        assert repr(loaded) == expected
+        # rows read in an earlier window are not parsed again; a value cut by a window's end is
+        assert scan.call_count <= text_scans + len(text) // serialize._CHUNK + 1
+        # the text is never held whole: the peak is the loaded model and a window or two
+        assert peak < len(text) / 3
+
+    @pytest.mark.parametrize("chunk", [64, serialize._CHUNK])
+    @pytest.mark.parametrize("widths", [(2, 300, 1), (60, 200, 2)], ids=["narrow_rows", "wide_rows"])
+    def test_load_of_rows_that_do_not_repeat(self, tmp_path, widths, chunk):
+        # with narrow rows the list's start may have left the window by the time the lookup stops
+        text = dumps_model(_dense_mlp(random.Random(8), widths))
+        path = tmp_path / "mlp.json"
+        path.write_text(text)
+        with mock.patch.object(serialize, "_CHUNK", chunk), \
+                mock.patch.object(serialize, "_loads_json", side_effect=AssertionError("decoded again")):
+            assert repr(load(path)) == repr(loads_model(text))
+
+    def test_load_reads_long_triplet_lists_in_batches(self, tmp_path):
+        mlp = kan_to_mlp(_kan_of_widths(random.Random(3), (4, 4, 4, 4), 6), ConversionMode.EXACT)
+        path = tmp_path / "sparse.json"
+        save(mlp, path, sparse=True)
+        text = path.read_text()
+        triplets = sum(len(layer["weight_sparse"]["triplets"]) for layer in json.loads(text)["payload"]["layers"])
+        with mock.patch.object(serialize, "_CHUNK", 4096), \
+                mock.patch.object(serialize, "_loads_json", side_effect=AssertionError("decoded again")), \
+                mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
+            assert repr(load(path)) == repr(loads_model(text))
+        # a few scans per window (a batch, and the triplet the window cuts), not one per triplet
+        assert scan.call_count < triplets / 4
+        with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
+            loads_model(text)
+        assert scan.call_count < triplets / 4  # a whole text is scanned whole
+
+    def test_load_reads_line_ends_and_utf8_as_before(self, tmp_path):
+        text = (FIXTURES / "three_segment_mlp.json").read_text()
+        path = tmp_path / "crlf.json"
+        path.write_bytes(text.replace("\n", "\r\n").encode())
+        with mock.patch.object(serialize, "_CHUNK", 5):
+            assert repr(load(path)) == repr(loads_model(text))
+            # a bad byte far past the first chunk is reported where it is in the file
+            bad = text.encode()
+            at = bad.index(b"relu")
+            path.write_bytes(bad[:at] + b"\xff" + bad[at + 1:])
+            with pytest.raises(ParseError, match=f"not valid UTF-8 at byte {at}$"):
+                load(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_load_from_pipe_is_read_whole(self, tmp_path):
+        text = (FIXTURES / "three_segment_mlp.json").read_text()
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        for sent in (text, text[:300]):
+            outcome = []
+
+            def read():
+                try:
+                    outcome.append(repr(load(pipe)))
+                except ParseError as e:
+                    outcome.append(("ParseError", str(e)))
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            pipe.write_text(sent)
+            reader.join(timeout=30)
+            # a second open of the pipe, to word an error, would wait for a writer for ever
+            assert not reader.is_alive()
+            assert outcome == [_outcome(sent)]
 
 
 class TestValidationOnLoad:
@@ -760,6 +1132,22 @@ class TestCliExitCodes:
         code, _, _ = run_cli(["verify", FIXTURES / "three_segment_kan.json",
                               FIXTURES / "abs_mlp.json", "--tol", "1e-8"])
         assert code == 1
+
+    def test_verify_exact_far_kink_pair_exits_one(self):
+        # one unit out from a kink at -1e17 rounds back onto it, so the left
+        # pieces, which differ by 1e18 at -3e17, were never compared
+        code, out, _ = run_cli(["verify", FIXTURES / "far_kink_kan.json",
+                                FIXTURES / "far_kink_other_kan.json", "--exact-1d"])
+        assert code == 1
+        assert "passed: False" in out
+
+    def test_params_on_truncated_file_exits_one(self, tmp_path):
+        mlp = tmp_path / "pyramid_mlp.json"
+        assert run_cli(["convert", FIXTURES / "pyramid_kan.json", mlp, "--to", "mlp", "--mode", "exact"])[0] == 0
+        mlp.write_text(mlp.read_text()[:500])
+        code, out, err = run_cli(["params", mlp])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: invalid JSON at line ")
 
     def test_usage_error_exits_two(self):
         code, _, _ = run_cli(["convert", "--to", "sideways", "a", "b"])
