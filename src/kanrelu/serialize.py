@@ -5,16 +5,16 @@ floats printed with 17 significant digits, so saving a loaded file is
 byte-stable and numeric round trips are exact.
 
 Documents are read once per repeated row: the reader walks the envelope,
-payload, layer or block objects and KAN grids, and hands each row of a
-weight or tag matrix to the C scanner of ``json`` unless the same row text
-was already read in that matrix, in which case the earlier list is used
-again.  A converted MLP's hidden rows repeat a few distinct rows, so its
-file loads in a fraction of the time and memory of ``json.loads``; a matrix
-whose rows do not repeat stops the lookup once it has read more than twice
-as many rows as columns (see ``_Reader.read_rows``).  ``load`` reads a
-regular file in chunks of ``_CHUNK`` characters and never holds its whole
-text.  Text the reader cannot read is decoded again, whole, by
-``json.loads``, which words the error.
+payload, layer or block objects and KAN grids, and reads every list in one
+loop.  A weight or tag matrix is read by a row lookup: a row whose text was
+already read in that matrix gets the earlier list again, not parsed anew.
+Once the rows are taken not to repeat (see ``_Reader.row_reader``), the
+rest of the matrix goes to the C scanner of ``json`` in batches, as a
+sparse file's triplets do.  A converted MLP's hidden rows repeat a few
+distinct rows, so its file loads in a fraction of the time and memory of
+``json.loads``.  ``load`` reads a regular file in chunks of ``_CHUNK``
+characters and never holds its whole text.  Text the reader cannot read is
+decoded again, whole, by ``json.loads``, which words the error.
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ import os
 import re
 import struct
 from collections import defaultdict
+from functools import partial
 from itertools import compress, repeat
 from operator import is_, itemgetter
 from pathlib import Path
@@ -653,39 +654,43 @@ _scan = json.JSONDecoder().scan_once  # the C scanner json.loads runs: one value
 _ROWS, _BATCHES = object(), object()
 _LAYER = {"weight": _ROWS, "weight_tags": _ROWS, "activations": [None], "weight_sparse": {"triplets": _BATCHES}}
 _DOCUMENT = {"payload": {"layers": [_LAYER], "blocks": [_LAYER], "readout": _LAYER}}
-# Numbers the reader parses again, at most, when it finds that a list's rows
-# do not repeat: the C scanner reads narrow rows faster than a row loop does.
-_REREAD = 4096
-_CHUNK = 1 << 14  # characters a file is read in
+_CHUNK = 1 << 14  # characters a file is read in, and the most a batch of items spans
 
 
 class _Reader:
     """A model document's text, walked by index.
 
-    Each ``read_*`` method takes the index where a value starts in ``text``
-    and returns the value and the index after it.  This reader holds the
-    whole text; ``_FileReader`` holds a window of a file, which ``more``
-    moves on, so a caller reads ``text`` again after each call.
+    The reader holds the whole text, one window that never moves, or a text
+    file read ``_CHUNK`` characters at a time, of which it holds a window
+    that ``more`` moves on; so a caller reads ``text`` again after each call.
+    Each ``read*`` method takes the index where a value starts in ``text``
+    and returns the value and the index after it.
+
+    Every list and object is read by one loop, ``read_list``, which handles
+    the brackets, commas, spaces and window moves; only the reading of an
+    item, or of a run of items, differs.  The envelope, payload, layer and
+    block objects and the lists of layers, blocks and KAN grid rows are
+    walked as ``_DOCUMENT`` lays out.  A weight or tag matrix is read by a
+    row lookup (``row_reader``): a row whose text was read before in that
+    matrix is not parsed again, but gets the list read the first time.  Once
+    the rows are taken not to repeat, the rest of the matrix, like a sparse
+    file's triplets, is read in batches (``read_batch``): each run of items
+    up to a ``]`` is scanned as one list by the C scanner.  Every other value
+    is scanned whole.
     """
 
-    base = 0  # where ``text`` starts in the document
-
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, source):
+        self.file = None if isinstance(source, str) else source
+        self.text = source if self.file is None else source.read(_CHUNK)
 
     def more(self, i: int) -> int:
         """Read on past the end of ``text``, keeping ``text[i:]``; the new
         index of ``i``, or -1 when the document has no more text."""
-        return -1
-
-    def keep(self, i: int, key: str) -> Any:
-        """What a recorded row keeps to compare later rows with: here the
-        index of its text ``key``, which this reader holds throughout."""
-        return i
-
-    def same(self, kept: Any, key: str) -> bool:
-        """Whether a row whose text is ``key`` has the text of a recorded row."""
-        return self.text.startswith(key, kept)
+        # at least as much as is kept, so a value longer than a window is scanned O(log n) times
+        if self.file is None or not (chunk := self.file.read(max(_CHUNK, len(self.text) - i))):
+            return -1
+        self.text = self.text[i:] + chunk
+        return 0
 
     def skip(self, i: int) -> int:
         """The index of the first non-space character at or after ``i``, or
@@ -715,187 +720,126 @@ class _Reader:
                 return value, end
             i = j
 
-    def read_rows(self, i: int) -> tuple[list, int]:
-        """A list of rows; a row whose text was read before in this list is not parsed again.
+    def read(self, i: int, layout: Any) -> tuple[Any, int]:
+        """The value at ``text[i]``, walked as ``layout`` says."""
+        opener = self.text[i]
+        if opener == "{" and type(layout) is dict:
+            return self.read_list(i, partial(self.read_field, layout), {}, "}")
+        if opener == "[" and layout is _ROWS:
+            return self.read_list(i, self.row_reader(), [], "]")
+        if opener == "[" and layout is _BATCHES:
+            return self.read_list(i, self.read_batch, [], "]")
+        if opener == "[" and type(layout) is list:
+            return self.read_list(i, partial(self.read_item, layout[0]), [], "]")
+        return self.scan(i)
+
+    def read_list(self, i: int, item: Callable[[int, Any], int], items, close: str) -> tuple[Any, int]:
+        """The list (or object) that starts at ``text[i]``, read into ``items``
+        up to its ``close`` bracket.  ``item(i, items)`` reads the item at
+        ``text[i]``, or a run of items, into ``items`` and returns the index
+        after what it read."""
+        i = self.skip(i + 1)
+        if self.text[i] == close:
+            return items, i + 1
+        while True:
+            i = self.skip(item(i, items))
+            if self.text[i] == close:
+                return items, i + 1
+            i = self.after(i, ",")
+
+    def read_field(self, fields: dict, i: int, doc: dict) -> int:
+        if self.text[i] != '"':
+            raise ValueError(f"expected a key at index {i}")
+        key, i = self.scan(i)
+        # a repeated key keeps its first place and its last value, as in json.loads
+        doc[key], i = self.read(self.after(self.skip(i), ":"), fields.get(key))
+        return i
+
+    def read_item(self, layout: Any, i: int, items: list) -> int:
+        item, i = self.read(i, layout)
+        items.append(item)
+        return i
+
+    def read_batch(self, i: int, items: list) -> int:
+        """The items from ``text[i]`` to the last ``]`` within ``_CHUNK``
+        characters, put between brackets and scanned as one list, which is
+        what the C scanner reads there when that ``]`` ends an item or the
+        list.  When it does not (it is inside an item, or none is in reach),
+        the one item at ``text[i]`` is scanned."""
+        text = self.text
+        cut = text.rfind("]", i, i + _CHUNK) + 1
+        with contextlib.suppress(ValueError, StopIteration):
+            batch, end = _scan(f"[{text[i:cut]}]", 0)
+            if batch:  # empty: no "]" in reach, or a "]" after a comma, which json.loads rejects
+                items += batch
+                # past the batch, or at the list's "]" when the list ends first
+                return i + end - 2
+        item, i = self.scan(i)
+        items.append(item)
+        return i
+
+    def row_reader(self) -> Callable[[int, list], int]:
+        """The item reader of one matrix, which looks each row up by its text.
 
         A row's text runs from its ``[`` to the first ``]``.  When that text
-        scans as a whole list and holds no ``{``, the row is recorded by the
-        hash of the text and by what ``keep`` gives, so a later row with equal
-        text (compared, not only hashed) is an equal list of scalars and gets
-        the same list.  A row that holds a container, or a string with a
-        ``]``, is scanned whole and not recorded.
+        scans as a whole list and holds no ``{``, the row is recorded with
+        its text, by the text's hash, so a later row with equal text (compared,
+        not only hashed) is an equal list of scalars and gets the same list.
+        A row that holds a container, or a string with a ``]``, is scanned
+        whole and not recorded.
 
         Before its first repeat, the first layer of a converted MLP meets two
         distinct rows per column (its ``±e_p`` rows), and a later layer two per
         input of the KAN layer it lowers, which is at most one per column when
         each output of the KAN layer before has a breakpoint.  So once the rows
         read outnumber twice the repeats plus twice the row width, the rows are
-        taken not to repeat: the whole list goes to the C scanner again, in
-        batches if it is longer than a window, if the rows read so far hold at
-        most ``_REREAD`` numbers (and the window still holds the list's start),
-        else the rest is scanned row by row.
+        taken not to repeat, and the rest of the matrix is read in batches.
         """
-        start = self.base + i
-        rows: list = []
-        seen: dict[int, tuple[list, Any]] | None = {}  # hash of a row's text -> (row, what keep gave)
+        seen: dict[int, tuple[str, list]] | None = {}  # hash of a row's text -> (the text, the row)
         hits = 0
-        i = self.skip(i + 1)
-        if self.text[i] == "]":
-            return rows, i + 1
-        while True:
+
+        def read_row(i: int, rows: list) -> int:
+            nonlocal seen, hits
             text = self.text
             if seen is None or text[i] != "[":
-                row, i = self.scan(i)
-            else:
+                return self.read_batch(i, rows)
+            close = text.find("]", i) + 1
+            while not close:  # the row goes on past the end of ``text``
+                if (i := self.more(i)) < 0:
+                    raise ValueError("unclosed row")
+                text = self.text
                 close = text.find("]", i) + 1
-                while not close:  # the row goes on past the end of ``text``
-                    if (i := self.more(i)) < 0:
-                        raise ValueError("unclosed row")
-                    text = self.text
-                    close = text.find("]", i) + 1
-                key = text[i:close]
-                h = hash(key)
-                first = seen.get(h)
-                if first is not None and self.same(first[1], key):
-                    row, i = first[0], close
-                    hits += 1
-                else:
-                    try:
-                        row, _ = _scan(key, 0)
-                    except ValueError:  # a nested list or a string with "]": the row goes on
-                        row, i = self.scan(i)
-                    else:
-                        if "{" not in key and h not in seen:
-                            seen[h] = (row, self.keep(i, key))
-                        i = close
-                    if len(rows) + 1 > 2 * (hits + len(row)):  # the rows do not repeat
-                        if (len(rows) + 1) * len(row) <= _REREAD and start >= self.base:
-                            return self.read_batches(start - self.base)
-                        seen = None
-            rows.append(row)
-            i = self.skip(i)
-            if self.text[i] == "]":
-                return rows, i + 1
-            i = self.after(i, ",")
-
-    def read_batches(self, i: int) -> tuple[list, int]:
-        """A list scanned whole if ``text`` holds all of it, else in batches.
-
-        A batch is the items from ``i`` to the last ``]`` in ``text``, put
-        between brackets and scanned as one list, which is what the C
-        scanner reads there when that ``]`` ends an item.  When it does not
-        (the list ends before it, or an item holds a list), the items are
-        scanned one by one until the window moves.  So a list far longer
-        than a window is scanned about once, not once per window size tried.
-        """
-        try:
-            return _scan(self.text, i)  # a list ends at its "]", so no number is cut short
-        except (ValueError, StopIteration):
-            pass
-        items: list = []
-        failed = None  # the window a batch last failed in
-        i = self.skip(i + 1)
-        if self.text[i] == "]":
-            return items, i + 1
-        while True:
-            text = self.text
-            cut = text.rfind("]", i) + 1
-            batch = None
-            if cut and failed != (self.base, len(text)):
-                with contextlib.suppress(ValueError, StopIteration):
-                    batch, end = _scan(f"[{text[i:cut]}]", 0)
-                    if end != cut - i + 2:
-                        batch = None
-            if batch is None:
-                failed = self.base, len(text)
-                item, i = self.scan(i)
-                items.append(item)
+            key = text[i:close]
+            h = hash(key)
+            first = seen.get(h)
+            if first is not None and first[0] == key:
+                rows.append(first[1])
+                hits += 1
+                return close
+            try:
+                row, _ = _scan(key, 0)
+            except ValueError:  # a nested list or a string with "]": the row goes on
+                row, close = self.scan(i)
             else:
-                items += batch
-                i = cut
-            i = self.skip(i)
-            if self.text[i] == "]":
-                return items, i + 1
-            i = self.after(i, ",")
+                if "{" not in key and h not in seen:
+                    seen[h] = key, row
+            rows.append(row)
+            if len(rows) > 2 * (hits + len(row)):  # the rows do not repeat
+                seen = None
+            return close
 
-    def read_list(self, i: int, layout: Any) -> tuple[list, int]:
-        items: list = []
-        i = self.skip(i + 1)
-        if self.text[i] == "]":
-            return items, i + 1
-        while True:
-            item, i = self.read(i, layout)
-            items.append(item)
-            i = self.skip(i)
-            if self.text[i] == "]":
-                return items, i + 1
-            i = self.after(i, ",")
-
-    def read_object(self, i: int, fields: dict) -> tuple[dict, int]:
-        doc: dict = {}
-        i = self.skip(i + 1)
-        if self.text[i] == "}":
-            return doc, i + 1
-        while True:
-            if self.text[i] != '"':
-                raise ValueError(f"expected a key at index {i}")
-            key, i = self.scan(i)
-            value, i = self.read(self.after(self.skip(i), ":"), fields.get(key))
-            doc[key] = value  # a repeated key keeps its first place and its last value, as in json.loads
-            i = self.skip(i)
-            if self.text[i] == "}":
-                return doc, i + 1
-            i = self.after(i, ",")
-
-    def read(self, i: int, layout: Any) -> tuple[Any, int]:
-        """The value at ``text[i]``, walked as ``layout`` says."""
-        opener = self.text[i]
-        if opener == "{" and type(layout) is dict:
-            return self.read_object(i, layout)
-        if opener == "[" and layout is _ROWS:
-            return self.read_rows(i)
-        if opener == "[" and layout is _BATCHES:
-            return self.read_batches(i)
-        if opener == "[" and type(layout) is list:
-            return self.read_list(i, layout[0])
-        return self.scan(i)
+        return read_row
 
 
-class _FileReader(_Reader):
-    """A text file read ``_CHUNK`` characters at a time: it holds a window
-    of the text, never all of it, so a recorded row keeps its own text."""
-
-    def __init__(self, file):
-        self.file = file
-        self.text = file.read(_CHUNK)
-
-    def more(self, i: int) -> int:
-        # at least as much as is kept, so a value longer than a window is scanned O(log n) times
-        chunk = self.file.read(max(_CHUNK, len(self.text) - i))
-        if not chunk:
-            return -1
-        self.text = self.text[i:] + chunk
-        self.base += i
-        return 0
-
-    def keep(self, i: int, key: str) -> str:
-        return key
-
-    def same(self, kept: str, key: str) -> bool:
-        return kept == key
-
-
-def _read_document(text) -> Any:
+def _read_document(source) -> Any:
     """Decode a model document as ``json.loads`` does, reading each repeated row once.
 
-    ``text`` is the document, or a text file holding it, which is read in
-    chunks.  The envelope, payload, layer or block objects and KAN grids are
-    walked here; each row of a weight or tag matrix goes to the C scanner,
-    unless the same text was read before in that matrix (see
-    ``_Reader.read_rows``).  Fails with ValueError (a UnicodeDecodeError
-    too), IndexError, StopIteration or RecursionError on malformed text.
+    ``source`` is the document, or a text file holding it, which is read in
+    chunks; ``_Reader`` says how each list is read.  Fails with ValueError
+    (a UnicodeDecodeError too), IndexError, StopIteration or RecursionError
+    on malformed text.
     """
-    reader = _Reader(text) if isinstance(text, str) else _FileReader(text)
+    reader = _Reader(source)
     doc, i = reader.read(reader.skip(0), _DOCUMENT)
     if reader.skip(i) != len(reader.text):
         raise ValueError(f"extra data at index {i}")
@@ -944,23 +888,25 @@ def loads_model(text: str):
     return _model(doc)
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not valid UTF-8 at byte {e.start}") from None
+
+
 def load(path):
     """The model in the file at ``path``.
 
-    A regular file is read in chunks, never whole.  If it does not read, it
-    is read again whole, so the error is found and worded as before; any
+    A regular file is read in chunks, never whole.  If it does not read, its
+    whole text goes to ``json.loads``, which finds and words the error; any
     other file, such as a pipe, which could not be read twice, is read whole.
     """
-    if os.path.isfile(path):
-        try:
-            with open(path, encoding="utf-8") as f:
-                doc = _read_document(f)
-        except _READ_ERRORS:
-            pass
-        else:
-            return _model(doc)
+    if not os.path.isfile(path):
+        return loads_model(_read_text(path))
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ParseError(f"not valid UTF-8 at byte {e.start}") from None
-    return loads_model(text)
+        with open(path, encoding="utf-8") as f:
+            doc = _read_document(f)
+    except _READ_ERRORS:
+        doc = _loads_json(_read_text(path))
+    return _model(doc)

@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from kanrelu import (
@@ -716,22 +716,50 @@ class TestRowReader:
         with mock.patch.object(serialize, "_loads_json", side_effect=AssertionError("decoded again")):
             assert [repr(loads_model(text)) for text in texts] == expected
 
-    @pytest.mark.parametrize("widths, rescanned", [((2, 300, 1), True), ((60, 200, 2), False)],
-                             ids=["narrow_rows", "wide_rows"])
-    def test_rows_that_do_not_repeat_stop_the_lookup(self, widths, rescanned):
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["text", "file_chunk_64"])
+    @pytest.mark.parametrize("widths", [(2, 300, 1), (60, 200, 2)], ids=["narrow_rows", "wide_rows"])
+    def test_rows_that_do_not_repeat_stop_the_lookup(self, widths, chunk):
         text = dumps_model(_dense_mlp(random.Random(8), widths))
-        with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
-            doc = serialize._read_document(text)
+        source = text if chunk is None else io.StringIO(text)
+        window = chunk or serialize._CHUNK
+        with mock.patch.object(serialize, "_CHUNK", window), \
+                mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan, \
+                mock.patch.object(serialize, "hash", create=True, side_effect=hash) as key_hash:
+            doc = serialize._read_document(source)
         assert repr(doc) == repr(json.loads(text))
-        # narrow rows: the first 2 * width + 1 rows, then the whole list again;
-        # wide rows: each row once, the lookup stopped after 2 * width + 1 rows
-        row_scans = sum(1 for call in scan.call_args_list if call.args[0][call.args[1]] == "[")
+        # the first 2 * n_in + 1 rows are looked up, and the next layer's rows
         n_in, n_out = widths[0], widths[1]
-        assert row_scans == (2 * n_in + 1 + 1 if rescanned else n_out) + widths[2] + len(widths) - 1
-        hashed = mock.patch.object(serialize, "hash", create=True, side_effect=hash)
-        with hashed as key_hash:
-            serialize._read_document(text)
         assert key_hash.call_count == 2 * n_in + 1 + widths[2]
+        # the rest go in batches: a batch, a value cut by the window's end and
+        # its scan again per window, beside the rows looked up and the biases
+        row_scans = sum(1 for call in scan.call_args_list if call.args[0][call.args[1]] == "[")
+        windows = len(text) // window + 1
+        assert row_scans <= key_hash.call_count + len(widths) - 1 + (windows if chunk is None else 3 * windows)
+        if chunk is None and n_in == 2:
+            assert row_scans < n_out / 10
+
+    def test_rows_that_stop_repeating_are_read_in_batches(self):
+        # the texts the properties draw reach the batches of a matrix's rows,
+        # rows apart by "]," and by spaces before the comma
+        read_batch, runs = serialize._Reader.read_batch, []
+
+        def record(reader, i, items):
+            end = read_batch(reader, i, items)
+            runs.append(reader.text[i:end])
+            return end
+
+        def reaches(pattern):
+            def batched(text):
+                runs.clear()
+                with mock.patch.object(serialize._Reader, "read_batch", record), \
+                        mock.patch.dict(serialize._LAYER, {"weight_sparse": {}}):  # no triplet batches
+                    serialize._read_document(text)
+                return any(re.search(pattern, run) for run in runs)
+            return batched
+
+        draws = settings(max_examples=500, database=None, phases=[Phase.generate])
+        for pattern in (r"\],", r"\][ \t\r\n]+,"):
+            find(_json_texts(), reaches(pattern), settings=draws)
 
     def test_rows_whose_hashes_collide_stay_apart(self, tmp_path):
         text = dumps_model(kan_to_mlp(_kan_of_widths(random.Random(4), (3, 3, 3), 4), ConversionMode.EXACT))
@@ -793,14 +821,43 @@ class TestRowReader:
     def test_load_of_truncated_file_keeps_its_message(self, tmp_path, chunk):
         text = (FIXTURES / "three_segment_mlp.json").read_text()
         path = tmp_path / "cut.json"
-        with mock.patch.object(serialize, "_CHUNK", chunk):
+        with mock.patch.object(serialize, "_CHUNK", chunk), \
+                mock.patch.object(serialize, "_read_document", side_effect=serialize._read_document) as read:
             for end in range(0, len(text) + 1, 3 if chunk < 64 else 1):
                 path.write_text(text[:end])
+                read.reset_mock()
                 try:
                     outcome = repr(load(path))
                 except (ParseError, ValidationError) as e:
                     outcome = type(e).__name__, str(e)
+                # the reader runs once: a file it cannot read goes whole to json.loads
+                assert read.call_count == 1
                 assert outcome == _outcome(text[:end])
+
+    def test_decoding_leaves_no_cyclic_garbage(self, tmp_path):
+        # a reference cycle would keep the row table and every row alive until
+        # a collection; the document takes each list path: the layout lists,
+        # repeated weight and tag rows, weight rows that stop repeating, and
+        # sparse triplets
+        rng = random.Random(13)
+        mlp = kan_to_mlp(_kan_of_widths(rng, (2, 3, 2), 4), ConversionMode.EXACT)
+        doc = model_to_dict(mlp)
+        layers = doc["payload"]["layers"]
+        layers[0]["weight"] = [[rng.uniform(-2.0, 2.0) for _ in row] for row in layers[0]["weight"]]
+        layers[-1] = model_to_dict(mlp, sparse=True)["payload"]["layers"][-1]
+        text = dumps_canonical(doc)
+        path = tmp_path / "mlp.json"
+        path.write_text(text)
+        with mock.patch.object(serialize, "_CHUNK", 64):
+            gc.collect()
+            gc.disable()
+            try:
+                loads_model(text)
+                assert gc.collect() == 0
+                load(path)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
     def test_load_reads_the_file_once_in_chunks(self, tmp_path):
         kan = _kan_of_widths(random.Random(7), (4, 4, 4, 4), 6)
@@ -829,7 +886,6 @@ class TestRowReader:
     @pytest.mark.parametrize("chunk", [64, serialize._CHUNK])
     @pytest.mark.parametrize("widths", [(2, 300, 1), (60, 200, 2)], ids=["narrow_rows", "wide_rows"])
     def test_load_of_rows_that_do_not_repeat(self, tmp_path, widths, chunk):
-        # with narrow rows the list's start may have left the window by the time the lookup stops
         text = dumps_model(_dense_mlp(random.Random(8), widths))
         path = tmp_path / "mlp.json"
         path.write_text(text)
@@ -851,7 +907,7 @@ class TestRowReader:
         assert scan.call_count < triplets / 4
         with mock.patch.object(serialize, "_scan", side_effect=serialize._scan) as scan:
             loads_model(text)
-        assert scan.call_count < triplets / 4  # a whole text is scanned whole
+        assert scan.call_count < triplets / 4  # a whole text is read in batches too
 
     def test_load_reads_line_ends_and_utf8_as_before(self, tmp_path):
         text = (FIXTURES / "three_segment_mlp.json").read_text()
