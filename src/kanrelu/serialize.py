@@ -29,7 +29,7 @@ from functools import partial
 from itertools import compress, repeat
 from operator import is_, itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .core import FREE, STRUCTURAL, Activation, Kan, KanLayer, Mlp, MlpLayer, PiecewiseLinear, PolySegmentSpline
 from .errors import ParseError, ValidationError
@@ -440,7 +440,7 @@ def _floats(values: Any, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
-def _each_row_once(values: list, convert: Callable[[int, Any], Any]) -> tuple:
+def _each_row_once(values: Iterable, convert: Callable[[int, Any], Any]) -> tuple:
     """``convert(i, row)`` for each row of ``values``, called once per run of one row object.
 
     The reader hands out one list per distinct row text, and a converted
@@ -457,14 +457,12 @@ def _each_row_once(values: list, convert: Callable[[int, Any], Any]) -> tuple:
     return tuple(out)
 
 
-def _matrix(values: Any, where: str) -> tuple[tuple[float, ...], ...]:
+def _matrix(values: Iterable, where: str) -> tuple[tuple[float, ...], ...]:
     """Rows of floats, each distinct row one shared tuple.
 
     Rows are keyed by the bytes of their doubles, so -0.0 stays apart from
     0.0, and a row's float tuple is built only the first time it is seen.
     """
-    if not isinstance(values, list):
-        raise ParseError(f"{where}: expected a list of rows")
     rows: dict[bytes, tuple[float, ...]] = {}
 
     def convert(i: int, row: Any) -> tuple[float, ...]:
@@ -490,7 +488,7 @@ def _tags(values: Any, where: str):
     return tuple(values)
 
 
-def _tag_matrix(values: list, where: str):
+def _tag_matrix(values: Iterable, where: str):
     """Rows of tags, each distinct row one shared tuple."""
     rows: dict[tuple, tuple] = {}
 
@@ -546,14 +544,13 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
             raise ParseError(f"{where}.weight_sparse.shape: expected two positive integers")
         tagged = _need(sparse, "tagged", bool, f"{where}.weight_sparse")
         rows, cols = shape
-        dense = [[0.0] * cols for _ in range(rows)]
-        tags = [[STRUCTURAL] * cols for _ in range(rows)]
+        entries: list[list[list]] = [[] for _ in range(rows)]  # each row's triplets
         filled = bytearray(rows * cols)  # 1 where a triplet has set the entry
         triplets = _need(sparse, "triplets", list, f"{where}.weight_sparse")
         for i, triplet in enumerate(triplets):
             if not isinstance(triplet, list) or len(triplet) != 4:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: expected [row, col, value, tag]")
-            r, c, value, tag = triplet
+            r, c, _, tag = triplet
             if type(r) is not int or type(c) is not int:  # bool is no index
                 name, index = ("row", r) if type(r) is not int else ("column", c)
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: {name} must be an integer, got {index!r}")
@@ -565,11 +562,19 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
             if filled[at]:
                 raise ParseError(f"{where}.weight_sparse.triplets[{i}]: duplicate entry for row {r}, column {c}")
             filled[at] = 1
-            dense[r][c] = value
-            tags[r][c] = tag
+            entries[r].append(triplet)
         _floats([triplet[2] for triplet in triplets], f"{where}.weight_sparse.triplets")  # names a bad value
-        weight = _matrix(dense, f"{where}.weight_sparse")
-        weight_tags = _tag_matrix(tags, f"{where}.weight_sparse") if tagged else None
+
+        def dense_rows(field: int, blank):
+            # one row at a time: _matrix and _tag_matrix keep only its shared tuple
+            for row in entries:
+                values = [blank] * cols
+                for triplet in row:
+                    values[triplet[1]] = triplet[field]
+                yield values
+
+        weight = _matrix(dense_rows(2, 0.0), f"{where}.weight_sparse")
+        weight_tags = _tag_matrix(dense_rows(3, STRUCTURAL), f"{where}.weight_sparse") if tagged else None
     else:
         weight = _matrix(_need(doc, "weight", list, where), f"{where}.weight")
         if "weight_tags" in doc:

@@ -43,12 +43,6 @@ def _poly_pad(coeffs: Sequence[float], length: int) -> tuple[float, ...]:
     return tuple(coeffs) + (0.0,) * (length - len(coeffs))
 
 
-def _poly_sub(a: Sequence[float], b: Sequence[float]) -> tuple[float, ...]:
-    n = max(len(a), len(b))
-    pa, pb = _poly_pad(a, n), _poly_pad(b, n)
-    return tuple(x - y for x, y in zip(pa, pb))
-
-
 @dataclass(frozen=True)
 class SplineKan(_KanChain):
     """KAN whose activations are splines: a chain of ``PolySegmentSpline`` KAN layers."""
@@ -176,25 +170,20 @@ def bspline_to_monomial_relu(s: PolySegmentSpline) -> MonomialReluNetwork:
     readout: list[float] = []
 
     leading = _poly_pad(s.piece_coeffs[0], width)
-    # group 0: relu(x) carries the leading polynomial on x >= 0
-    rows.extend(((1.0,),) * width)
-    bias.extend([0.0] * width)
-    readout.append(0.0)
-    readout.extend(leading[1:])
-    # group 1: relu(-x) carries it on x <= 0, with alternating signs
-    rows.extend(((-1.0,),) * width)
-    bias.extend([0.0] * width)
-    readout.append(0.0)
-    readout.extend(((-1.0) ** j) * leading[j] for j in range(1, width))
+    # groups 0 and 1: relu(x) carries the leading polynomial on x >= 0, and
+    # relu(-x) carries it on x <= 0, with alternating signs
+    for sign in (1.0, -1.0):
+        rows.extend(((sign,),) * width)
+        bias.extend([0.0] * width)
+        readout.append(0.0)
+        readout.extend(sign**j * leading[j] for j in range(1, width))
 
     for i, b in enumerate(s.breakpoints):
-        diff = _poly_sub(
-            shift_poly(_poly_pad(s.piece_coeffs[i + 1], width), b),
-            shift_poly(_poly_pad(s.piece_coeffs[i], width), b),
-        )
+        after = shift_poly(_poly_pad(s.piece_coeffs[i + 1], width), b)
+        before = shift_poly(_poly_pad(s.piece_coeffs[i], width), b)
         rows.extend(((1.0,),) * width)
         bias.extend([-b] * width)
-        readout.extend(diff)
+        readout.extend(p - q for p, q in zip(after, before))
 
     block = MonomialReluBlock(weight=tuple(rows), bias=tuple(bias), degree=s.degree_bound)
     return MonomialReluNetwork(
@@ -217,6 +206,8 @@ def _affine_grid(weight, bias) -> KanLayer:
 
 _ZERO_SPLINE = PolySegmentSpline((), ((0.0,),), 0)
 _RELU_SPLINE = PolySegmentSpline((0.0,), ((0.0,), (0.0, 1.0)), 1)
+# _MONOMIALS[k] is x -> x**k; x**0 is the constant 1
+_MONOMIALS = tuple(PolySegmentSpline((), ((0.0,) * k + (1.0,),), k) for k in range(MAX_DEGREE + 1))
 
 
 def _diagonal_grid(width: int, diag) -> KanLayer:
@@ -238,15 +229,7 @@ def monomial_relu_to_spline_kan(net: MonomialReluNetwork) -> SplineKan:
         layers.append(_affine_grid(block.weight, block.bias))
         width = block.n_out
         layers.append(_diagonal_grid(width, lambda q: _RELU_SPLINE))
-
-        def monomial(q: int, r: int = block.degree) -> PolySegmentSpline:
-            power = q % (r + 1)
-            if power == 0:
-                return PolySegmentSpline((), ((1.0,),), 0)
-            coeffs = (0.0,) * power + (1.0,)
-            return PolySegmentSpline((), (coeffs,), power)
-
-        layers.append(_diagonal_grid(width, monomial))
+        layers.append(_diagonal_grid(width, lambda q: _MONOMIALS[q % (block.degree + 1)]))
     layers.append(_affine_grid(net.readout_weight, net.readout_bias))
     return SplineKan(tuple(layers))
 
@@ -265,9 +248,11 @@ def bspline_from_knots(
 ) -> PolySegmentSpline:
     """Convert a knot/control-coefficient B-spline to piecewise polynomials.
 
-    Runs the basis recursion on polynomial coefficients per knot interval,
-    then sums control-weighted bases over the interior of the knot span.
-    The two end pieces extend their polynomials beyond the span.
+    On each knot interval of the span, runs the basis recursion on
+    polynomial coefficients over the bases live there (the degree + 1 bases
+    j - degree..j on interval j; every other basis is zero on it), then sums
+    them weighted by their control coefficients.  The two end pieces extend
+    their polynomials beyond the span.
     """
     t = [float(v) for v in knots]
     c = [float(v) for v in coefficients]
@@ -280,39 +265,29 @@ def bspline_from_knots(
     if n < 1 or len(c) != n:
         raise ValidationError("coefficient count must be len(knots) - degree - 1")
 
-    intervals = len(t) - 1
-    # basis[i][j]: polynomial of basis i on interval [t_j, t_{j+1}), None when zero
-    basis: list[list[list[float] | None]] = [
-        [([1.0] if j == i and t[i] < t[i + 1] else None) for j in range(intervals)]
-        for i in range(len(t) - 1)
-    ]
-    for d in range(1, r + 1):
-        next_basis: list[list[list[float] | None]] = []
-        for i in range(len(t) - d - 1):
-            row: list[list[float] | None] = [None] * intervals
-            left_den = t[i + d] - t[i]
-            right_den = t[i + d + 1] - t[i + 1]
-            for j in range(intervals):
-                acc: list[float] | None = None
-                if left_den > 0.0 and basis[i][j] is not None:
-                    acc = _poly_mul_linear(basis[i][j], -t[i] / left_den, 1.0 / left_den)
-                if right_den > 0.0 and basis[i + 1][j] is not None:
-                    term = _poly_mul_linear(
-                        basis[i + 1][j], t[i + d + 1] / right_den, -1.0 / right_den
-                    )
-                    acc = term if acc is None else [x + y for x, y in zip(acc, term)]
-                row[j] = acc
-            next_basis.append(row)
-        basis = next_basis
-
     pieces: list[tuple[float, ...]] = []
     boundaries: list[float] = []
     for j in range(r, n):
         if t[j] == t[j + 1]:
             continue  # zero-length interval contributes no piece
+        # live[k]: polynomial of basis j - d + k at degree d on [t_j, t_{j+1}), None when zero
+        live: list[list[float] | None] = [[1.0] if t[j] < t[j + 1] else None]
+        for d in range(1, r + 1):
+            lower = [None, *live, None]  # degree d - 1, from basis j - d on
+            live = []
+            for k in range(d + 1):
+                i = j - d + k
+                acc: list[float] | None = None
+                left_den = t[i + d] - t[i]
+                right_den = t[i + d + 1] - t[i + 1]
+                if left_den > 0.0 and lower[k] is not None:
+                    acc = _poly_mul_linear(lower[k], -t[i] / left_den, 1.0 / left_den)
+                if right_den > 0.0 and lower[k + 1] is not None:
+                    term = _poly_mul_linear(lower[k + 1], t[i + d + 1] / right_den, -1.0 / right_den)
+                    acc = term if acc is None else [x + y for x, y in zip(acc, term)]
+                live.append(acc)
         acc = [0.0] * (r + 1)
-        for i in range(max(0, j - r), min(n, j + 1)):
-            poly = basis[i][j]
+        for i, poly in enumerate(live, j - r):
             if poly is None:
                 continue
             for deg, a in enumerate(poly):

@@ -38,6 +38,16 @@ def decimal_pls(draw, slopes=DECIMALS) -> PiecewiseLinear:
     return PiecewiseLinear(breakpoints, tuple(draw(st.lists(slopes, min_size=n, max_size=n))), draw(DECIMALS))
 
 
+@st.composite
+def decimal_kans(draw) -> Kan:
+    """A KAN of depth 1-3 and widths 1-3 whose activations are ``decimal_pls``."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    return Kan(tuple(
+        KanLayer(tuple(tuple(draw(decimal_pls()) for _ in range(n_in)) for _ in range(n_out)))
+        for n_in, n_out in zip(widths, widths[1:])
+    ))
+
+
 def random_kan(
     rng: random.Random,
     input_dim: int | None = None,

@@ -19,6 +19,7 @@ from kanrelu import (
     MlpLayer,
     PiecewiseLinear,
     assert_equiv,
+    class_embedding_check,
     eval_kan,
     eval_mlp,
     eval_pl,
@@ -29,7 +30,7 @@ from kanrelu import (
 from kanrelu.convert import _merge_affine
 from kanrelu.errors import ValidationError
 
-from conftest import decimal_pls, random_kan, random_mlp, random_pl
+from conftest import decimal_kans, decimal_pls, random_kan, random_mlp, random_pl
 
 
 def _relu(x):
@@ -246,6 +247,25 @@ class TestKanToMlp:
             kan = random_kan(rng)
             for mode in ConversionMode:
                 assert len(kan_to_mlp(kan, mode).layers) == len(kan.layers) + 1
+
+    @given(kan=decimal_kans())
+    @settings(max_examples=100, deadline=None)
+    def test_paper_laws(self, kan):
+        # depth L + 1, the width law of each mode, two source parameters per
+        # segment, and a re-converted KAN of at most 2 segments per activation
+        segments = [[act.segments for row in layer.activations for act in row] for layer in kan.layers]
+        widths = {
+            ConversionMode.EXACT: [2 * lay.n_in + sum(segs) - len(segs) for lay, segs in zip(kan.layers, segments)],
+            ConversionMode.PAPER: [sum(segs) for segs in segments],
+        }
+        for mode in ConversionMode:
+            mlp = kan_to_mlp(kan, mode)
+            assert len(mlp.layers) == len(kan.layers) + 1
+            assert list(mlp.hidden_widths) == widths[mode]
+            assert sum(layer.source_params for layer in mlp.layers) == 2 * sum(map(sum, segments))
+            assert mlp_to_kan(mlp).max_segments() <= 2
+        report = class_embedding_check(kan)
+        assert report.depth_bound_satisfied and report.width_bound_satisfied and report.segment_bound_satisfied
 
     def test_two_layer_kan_gives_three_affine_layers(self):
         rng = random.Random(37)

@@ -522,6 +522,25 @@ class TestSharedRows:
             for layer, source in zip(model.layers[:-1], kan.layers):
                 assert len({id(row) for row in layer.weight}) <= 2 * source.n_in
 
+    def test_sparse_layer_is_built_one_row_at_a_time(self, tmp_path):
+        # the weights and tags used to be filled into two dense rows x cols
+        # lists of references before equal rows were shared
+        act = PiecewiseLinear(tuple((i + 1) / 10 for i in range(10)), tuple((-1.0) ** i for i in range(11)), 0.25)
+        mlp = kan_to_mlp(Kan((KanLayer(((act,) * 300,)),)), ConversionMode.EXACT)
+        rows, cols = mlp.widths[1], mlp.widths[0]
+        assert (rows, cols) == (3600, 300)
+        path = tmp_path / "sparse.json"
+        save(mlp, path, sparse=True)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == mlp
+        assert peak < rows * cols * 8  # less than one dense list of references
+
     def test_converted_16_3_8_shares_rows(self):
         kan = _kan_of_widths(random.Random(47), (16, 16, 16, 16), 8)
         mlp = kan_to_mlp(kan, ConversionMode.EXACT)
@@ -945,6 +964,26 @@ class TestRowReader:
             assert outcome == [_outcome(sent)]
 
 
+def _edited(fixture, keys, value):
+    """The JSON text of a fixture with the field at path ``keys`` set to ``value``."""
+    doc = json.loads((FIXTURES / fixture).read_text())
+    container = doc
+    for key in keys[:-1]:
+        container = container[key]
+    container[keys[-1]] = value
+    return json.dumps(doc)
+
+
+def _assert_rejected(error, text, message, tmp_path):
+    """``loads_model`` raises ``error`` with exactly ``message``, and eval exits 1 printing it."""
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        loads_model(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run_cli(["eval", path, "--input", "1"])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestValidationOnLoad:
     def test_mlp_with_relu_output_rejected(self):
         text = dumps_model(load(FIXTURES / "abs_mlp.json"))
@@ -1135,21 +1174,32 @@ class TestValidationOnLoad:
         (("payload", "layers", 0), 5, "payload.layers[0]: expected an object"),
         (("payload", "layers", 0, "source_params"), 2.5, "payload.layers[0].source_params: expected an integer"),
         (("payload", "layers", 0, "source_params"), True, "payload.layers[0].source_params: expected an integer"),
+        (("payload",), [], "document.payload: expected dict"),
+        (("payload", "layers", 0, "bias_tags"), "free", "payload.layers[0].bias_tags: expected a list"),
     ], ids=["short_triplet", "string_triplet", "row_out_of_range", "negative_column", "triplet_tag",
             "activation", "version", "metadata_value", "metadata_list", "layer_not_object",
-            "float_source_params", "bool_source_params"])
+            "float_source_params", "bool_source_params", "payload_list", "bias_tags_string"])
     def test_bad_field_named(self, keys, value, message, tmp_path):
-        doc = json.loads((FIXTURES / "three_segment_mlp_sparse.json").read_text())
-        container = doc
-        for key in keys[:-1]:
-            container = container[key]
-        container[keys[-1]] = value
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            loads_model(json.dumps(doc))
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["eval", path, "--input", "1"])
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        _assert_rejected(ParseError, _edited("three_segment_mlp_sparse.json", keys, value), message, tmp_path)
+
+    @pytest.mark.parametrize("fixture, keys, value, message", [
+        ("three_segment_kan.json", ("payload", "layers", 0, "activations", 0, 0, "intercept"), float("nan"),
+         "intercept must be finite"),
+        ("three_segment_mlp.json", ("payload", "layers", 0, "weight_tags", 0), ["structural"] * 2,
+         "weight_tags must match weight shape"),
+        ("three_segment_mlp.json", ("payload", "layers", 0, "bias_tags"), ["structural"] * 5,
+         "bias_tags must match bias length"),
+        ("square_flip_spline_kan.json", ("payload", "layers", 0, "activations", 0, 0, "pieces"), [[0, 1]] * 2,
+         "piece count must be breakpoint count + 1"),
+        ("square_flip_spline_kan.json", ("payload", "layers", 0, "activations", 0, 0, "pieces", 0), [],
+         "each piece needs at least one coefficient"),
+        ("square_flip_monomial.json", ("payload", "blocks", 0, "degree"), 9, "degree must be between 0 and 5"),
+        ("square_flip_monomial.json", ("payload", "readout", "weight", 0), [0, 0, 1, 0, 0, 1, 0, 0, -2, 0],
+         "readout width must match the last block's output"),
+    ], ids=["nan_intercept", "long_weight_tags_row", "long_bias_tags", "extra_piece", "empty_piece",
+            "monomial_degree", "long_readout_row"])
+    def test_invalid_model_named(self, fixture, keys, value, message, tmp_path):
+        _assert_rejected(ValidationError, _edited(fixture, keys, value), message, tmp_path)
 
     @pytest.mark.parametrize("kind", ["kan", "bspline_kan"])
     def test_grid_row_must_be_a_list(self, kind, tmp_path):
@@ -1173,6 +1223,22 @@ class TestCliExitCodes:
         code, _, _ = run_cli(["verify", FIXTURES / "three_segment_kan.json", out,
                               "--tol", "1e-8"])
         assert code == 0
+
+    def test_convert_to_kan_writes_the_reverse_embedding(self, tmp_path):
+        mlp = FIXTURES / "three_segment_mlp.json"
+        kan = tmp_path / "kan.json"
+        assert run_cli(["convert", mlp, kan, "--to", "kan"]) == (0, "", "")
+        assert kan.read_bytes() == dumps_model(mlp_to_kan(load(mlp))).encode()
+        for x, printed in (("-1.5", "-1.5\n"), ("0.25", "1.5\n"), ("2", "3.5\n")):
+            assert run_cli(["eval", mlp, "--input", x]) == (0, printed, "")
+            assert run_cli(["eval", kan, "--input", x]) == (0, printed, "")
+
+    def test_verify_exact_1d_of_different_output_dimensions_exits_two(self, tmp_path):
+        relu = PiecewiseLinear((0.0,), (0.0, 1.0), 0.0)
+        save(Kan((KanLayer(((relu,), (relu,))),)), tmp_path / "two_outputs.json")
+        code, out, err = run_cli(["verify", FIXTURES / "three_segment_kan.json", tmp_path / "two_outputs.json",
+                                  "--exact-1d"])
+        assert (code, out, err) == (2, "", "error: networks have different output dimensions\n")
 
     def test_verify_box_with_a_kink_outside_samples_only_the_box(self, tmp_path):
         # the paper form is valid on [0, 5]; the probe at -1 - 1e-6 made this exit 1

@@ -20,7 +20,7 @@ from kanrelu import (
     monomial_relu_to_spline_kan,
     shift_poly,
 )
-from kanrelu.splines import poly_eval
+from kanrelu.splines import MAX_DEGREE, poly_eval
 
 from conftest import random_spline
 
@@ -304,7 +304,100 @@ class TestReverseEmbedding:
             assert abs(b - c) <= 1e-9 * max(1.0, abs(c))
 
 
+def _full_table_bspline(knots, coefficients, degree):
+    """The reference: every basis on every knot interval at every degree,
+    then the control-weighted sum over the interior of the knot span."""
+    t = [float(v) for v in knots]
+    c = [float(v) for v in coefficients]
+    r = int(degree)
+    if r < 0 or r > MAX_DEGREE:
+        raise ValidationError(f"degree must be between 0 and {MAX_DEGREE}")
+    if any(a > b for a, b in zip(t, t[1:])):
+        raise ValidationError("knots must be non-decreasing")
+    n = len(t) - r - 1
+    if n < 1 or len(c) != n:
+        raise ValidationError("coefficient count must be len(knots) - degree - 1")
+
+    def mul_linear(coeffs, c0, c1):
+        out = [0.0] * (len(coeffs) + 1)
+        for i, a in enumerate(coeffs):
+            out[i] += a * c0
+            out[i + 1] += a * c1
+        return out
+
+    intervals = len(t) - 1
+    # basis[i][j]: polynomial of basis i on interval [t_j, t_{j+1}), None when zero
+    basis = [[([1.0] if j == i and t[i] < t[i + 1] else None) for j in range(intervals)]
+             for i in range(len(t) - 1)]
+    for d in range(1, r + 1):
+        next_basis = []
+        for i in range(len(t) - d - 1):
+            row = [None] * intervals
+            left_den = t[i + d] - t[i]
+            right_den = t[i + d + 1] - t[i + 1]
+            for j in range(intervals):
+                acc = None
+                if left_den > 0.0 and basis[i][j] is not None:
+                    acc = mul_linear(basis[i][j], -t[i] / left_den, 1.0 / left_den)
+                if right_den > 0.0 and basis[i + 1][j] is not None:
+                    term = mul_linear(basis[i + 1][j], t[i + d + 1] / right_den, -1.0 / right_den)
+                    acc = term if acc is None else [x + y for x, y in zip(acc, term)]
+                row[j] = acc
+            next_basis.append(row)
+        basis = next_basis
+
+    pieces, boundaries = [], []
+    for j in range(r, n):
+        if t[j] == t[j + 1]:
+            continue
+        acc = [0.0] * (r + 1)
+        for i in range(max(0, j - r), min(n, j + 1)):
+            if basis[i][j] is not None:
+                for deg, a in enumerate(basis[i][j]):
+                    acc[deg] += c[i] * a
+        if pieces:
+            boundaries.append(t[j])
+        pieces.append(tuple(acc))
+    if not pieces:
+        raise ValidationError("knot vector has no interior span")
+    return PolySegmentSpline(tuple(boundaries), tuple(pieces), r)
+
+
+@st.composite
+def _knot_inputs(draw):
+    """Knots each repeated up to degree + 1 times, the end knots sometimes
+    degree + 1 times (a clamped vector), sometimes out of order, and a
+    coefficient count that is sometimes off by one."""
+    degree = draw(st.integers(0, MAX_DEGREE))
+    distinct = sorted(draw(st.sets(st.floats(-3.0, 3.0), min_size=2, max_size=10)))
+    clamped = draw(st.booleans())
+    knots = [
+        k for i, k in enumerate(distinct)
+        for _ in range(degree + 1 if clamped and i in (0, len(distinct) - 1) else draw(st.integers(1, degree + 1)))
+    ]
+    if draw(st.integers(0, 9)) == 0:
+        knots = draw(st.permutations(knots))
+    count = max(0, len(knots) - degree - 1 + draw(st.sampled_from([0] * 8 + [1, -1])))
+    coefficients = draw(st.lists(st.floats(-2.0, 2.0), min_size=count, max_size=count))
+    return knots, coefficients, degree
+
+
+def _spline_bits(build, *args):
+    """The hex of every breakpoint and coefficient of ``build(*args)``, or its error message."""
+    try:
+        s = build(*args)
+    except ValidationError as e:
+        return str(e)
+    return [b.hex() for b in s.breakpoints], [[a.hex() for a in piece] for piece in s.piece_coeffs], s.degree_bound
+
+
 class TestKnotLoader:
+    @given(_knot_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_full_basis_table(self, inputs):
+        # only the bases live on an interval are built, with the same float operations
+        assert _spline_bits(bspline_from_knots, *inputs) == _spline_bits(_full_table_bspline, *inputs)
+
     @staticmethod
     def _naive_basis(x, k, i, t):
         if k == 0:
