@@ -25,6 +25,7 @@ overflows and spline layers always take the loop.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -209,9 +210,7 @@ class PiecewiseLinear:
                 "slopes length must be breakpoints length + 1, got "
                 f"{len(self.slopes)} slopes for {len(self.breakpoints)} breakpoints"
             )
-        for left, right in zip(self.breakpoints, self.breakpoints[1:]):
-            if not left < right:
-                raise ValidationError("breakpoints must be strictly increasing")
+        _check_increasing(self.breakpoints, "breakpoints")
 
     @property
     def segments(self) -> int:
@@ -292,6 +291,19 @@ def _check_int(value, name: str) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_degree(value, name: str) -> None:
+    """``value`` must be an integer from 0 to ``MAX_DEGREE``."""
+    _check_int(value, name)
+    if value < 0 or value > MAX_DEGREE:
+        raise ValidationError(f"{name} must be between 0 and {MAX_DEGREE}")
+
+
+def _check_increasing(values: Sequence[float], name: str) -> None:
+    """Each of ``values`` must be less than the next; a NaN never is."""
+    if not all(map(operator.lt, values, values[1:])):
+        raise ValidationError(f"{name} must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class PolySegmentSpline:
     """Univariate continuous spline stored as per-piece monomial coefficients.
@@ -309,14 +321,10 @@ class PolySegmentSpline:
         object.__setattr__(self, "breakpoints", _finite_floats(self.breakpoints, "breakpoints"))
         pieces = tuple(_finite_floats(c, "piece coefficients") for c in self.piece_coeffs)
         object.__setattr__(self, "piece_coeffs", pieces)
-        _check_int(self.degree_bound, "degree bound")
-        if self.degree_bound < 0 or self.degree_bound > MAX_DEGREE:
-            raise ValidationError(f"degree bound must be between 0 and {MAX_DEGREE}")
+        _check_degree(self.degree_bound, "degree bound")
         if len(pieces) != len(self.breakpoints) + 1:
             raise ValidationError("piece count must be breakpoint count + 1")
-        for a, b in zip(self.breakpoints, self.breakpoints[1:]):
-            if not a < b:
-                raise ValidationError("breakpoints must be strictly increasing")
+        _check_increasing(self.breakpoints, "breakpoints")
         for coeffs in pieces:
             if not coeffs:
                 raise ValidationError("each piece needs at least one coefficient")

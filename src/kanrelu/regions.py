@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .core import Activation, Kan, Mlp, MlpLayer, Vector, _all_finite
+from .core import Activation, Kan, Mlp, MlpLayer, Vector, _all_finite, _check_increasing
 from .errors import UnsupportedDimensionError, ValidationError
 
 CUT_MERGE_TOL = 1e-12
@@ -48,9 +48,7 @@ class Complex1D:
     def __post_init__(self) -> None:
         if len(self.pieces) != len(self.cut_points) + 1:
             raise ValidationError("piece count must be cut count + 1")
-        for a, b in zip(self.cut_points, self.cut_points[1:]):
-            if not a < b:
-                raise ValidationError("cut points must be strictly increasing")
+        _check_increasing(self.cut_points, "cut points")
         for i, c in enumerate(self.cut_points):
             left = self.pieces[i].value(c)
             right = self.pieces[i + 1].value(c)
@@ -185,7 +183,6 @@ def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
     rows, pairs, index_bias = layer.summation_rows(
         _all_finite(chain.from_iterable(chain.from_iterable(forms)))
     )
-    index = [i for i, _ in index_bias]
     new_forms = []
     for interval_forms in forms:
         sums = []
@@ -197,9 +194,7 @@ def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
                 acc_b += w * b
             sums.append((acc_a, acc_b))
         sums += [(0.0 - a, 0.0 - b) for a, b in sums[:pairs]]
-        new_forms.append(
-            [(a, b + bias) for (a, b), bias in zip(map(sums.__getitem__, index), layer.bias)]
-        )
+        new_forms.append([(sums[i][0], sums[i][1] + bias) for i, bias in index_bias])
     return new_forms
 
 
@@ -385,18 +380,12 @@ def grid_fingerprint_2d(net, box: Sequence[float], resolution: int) -> RegionGri
             pure = True
             try:
                 for o in range(len(right)):
-                    gx = quantize((right[o] - left[o]) / (2.0 * hx))
-                    gy = quantize((up[o] - down[o]) / (2.0 * hy))
-                    if gx != quantize((right[o] - center[o]) / hx) or gx != quantize(
-                        (center[o] - left[o]) / hx
-                    ):
-                        pure = False
-                    if gy != quantize((up[o] - center[o]) / hy) or gy != quantize(
-                        (center[o] - down[o]) / hy
-                    ):
-                        pure = False
-                    fp.append(gx)
-                    fp.append(gy)
+                    for plus, minus, h in ((right, left, hx), (up, down, hy)):
+                        # a pure cell's one-sided differences quantize to its central one
+                        g = quantize((plus[o] - minus[o]) / (2.0 * h))
+                        if g != quantize((plus[o] - center[o]) / h) or g != quantize((center[o] - minus[o]) / h):
+                            pure = False
+                        fp.append(g)
             except (ValueError, OverflowError):
                 # round() of an inf raises OverflowError, of a NaN ValueError
                 raise ValidationError(

@@ -653,11 +653,11 @@ _SPACE = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 _scan = json.JSONDecoder().scan_once  # the C scanner json.loads runs: one value at an index
 
 # The layout the reader walks: a dict names the fields of an object that it
-# walks into, a one-item list gives the layout of each item of a list, _ROWS
-# marks a list of rows and _BATCHES a long list of short rows, the sparse
-# triplets.  Every other value is scanned whole.
-_ROWS, _BATCHES = object(), object()
-_LAYER = {"weight": _ROWS, "weight_tags": _ROWS, "activations": [None], "weight_sparse": {"triplets": _BATCHES}}
+# walks into, a one-item list gives the layout of each item of a list, and
+# _ROWS marks a matrix, a list of rows: a weight or tag matrix, or a sparse
+# layer's triplets.  Every other value is scanned whole.
+_ROWS = object()
+_LAYER = {"weight": _ROWS, "weight_tags": _ROWS, "activations": [None], "weight_sparse": {"triplets": _ROWS}}
 _DOCUMENT = {"payload": {"layers": [_LAYER], "blocks": [_LAYER], "readout": _LAYER}}
 _CHUNK = 1 << 14  # characters a file is read in, and the most a batch of items spans
 
@@ -675,13 +675,14 @@ class _Reader:
     the brackets, commas, spaces and window moves; only the reading of an
     item, or of a run of items, differs.  The envelope, payload, layer and
     block objects and the lists of layers, blocks and KAN grid rows are
-    walked as ``_DOCUMENT`` lays out.  A weight or tag matrix is read by a
-    row lookup (``row_reader``): a row whose text was read before in that
+    walked as ``_DOCUMENT`` lays out.  A matrix (a weight or tag matrix, or
+    a sparse layer's triplets, whose rows are the triplets) is read by a row
+    lookup (``row_reader``): a row whose text was read before in that
     matrix is not parsed again, but gets the list read the first time.  Once
-    the rows are taken not to repeat, the rest of the matrix, like a sparse
-    file's triplets, is read in batches (``read_batch``): each run of items
-    up to a ``]`` is scanned as one list by the C scanner.  Every other value
-    is scanned whole.
+    the rows are taken not to repeat, the rest of the matrix is read in
+    batches (``read_batch``): each run of items up to a ``]`` is scanned as
+    one list by the C scanner.  Triplets never repeat, so after their first
+    nine rows they go in batches.  Every other value is scanned whole.
     """
 
     def __init__(self, source):
@@ -732,8 +733,6 @@ class _Reader:
             return self.read_list(i, partial(self.read_field, layout), {}, "}")
         if opener == "[" and layout is _ROWS:
             return self.read_list(i, self.row_reader(), [], "]")
-        if opener == "[" and layout is _BATCHES:
-            return self.read_list(i, self.read_batch, [], "]")
         if opener == "[" and type(layout) is list:
             return self.read_list(i, partial(self.read_item, layout[0]), [], "]")
         return self.scan(i)

@@ -18,7 +18,7 @@ from typing import Sequence
 # the spline type and its helpers live in core, which names them in KanLayer;
 # they stay importable from here
 from .core import CONTINUITY_REL_TOL, MAX_DEGREE, PolySegmentSpline, poly_eval  # noqa: F401
-from .core import KanLayer, Vector, _affine_params, _as_vector, _check_int, _KanChain
+from .core import KanLayer, Vector, _affine_params, _as_vector, _check_degree, _finite_floats, _KanChain
 from .errors import ValidationError
 
 
@@ -86,9 +86,7 @@ class MonomialReluBlock:
         rows, bias = _affine_params(self.weight, self.bias)
         object.__setattr__(self, "weight", rows)
         object.__setattr__(self, "bias", bias)
-        _check_int(self.degree, "degree")
-        if self.degree < 0 or self.degree > MAX_DEGREE:
-            raise ValidationError(f"degree must be between 0 and {MAX_DEGREE}")
+        _check_degree(self.degree, "degree")
         if len(rows) % (self.degree + 1) != 0:
             raise ValidationError("block width must be a multiple of degree + 1")
 
@@ -248,17 +246,17 @@ def bspline_from_knots(
 ) -> PolySegmentSpline:
     """Convert a knot/control-coefficient B-spline to piecewise polynomials.
 
-    On each knot interval of the span, runs the basis recursion on
-    polynomial coefficients over the bases live there (the degree + 1 bases
-    j - degree..j on interval j; every other basis is zero on it), then sums
-    them weighted by their control coefficients.  The two end pieces extend
-    their polynomials beyond the span.
+    The knots and coefficients must be finite and the degree an integer
+    from 0 to ``MAX_DEGREE``.  On each knot interval of the span, runs the
+    basis recursion on polynomial coefficients over the bases live there
+    (the degree + 1 bases j - degree..j on interval j; every other basis is
+    zero on it), then sums them weighted by their control coefficients.
+    The two end pieces extend their polynomials beyond the span.
     """
-    t = [float(v) for v in knots]
-    c = [float(v) for v in coefficients]
-    r = int(degree)
-    if r < 0 or r > MAX_DEGREE:
-        raise ValidationError(f"degree must be between 0 and {MAX_DEGREE}")
+    t = _finite_floats(knots, "knots")
+    c = _finite_floats(coefficients, "coefficients")
+    _check_degree(degree, "degree")
+    r = degree
     if any(a > b for a, b in zip(t, t[1:])):
         raise ValidationError("knots must be non-decreasing")
     n = len(t) - r - 1
@@ -270,26 +268,23 @@ def bspline_from_knots(
     for j in range(r, n):
         if t[j] == t[j + 1]:
             continue  # zero-length interval contributes no piece
-        # live[k]: polynomial of basis j - d + k at degree d on [t_j, t_{j+1}), None when zero
-        live: list[list[float] | None] = [[1.0] if t[j] < t[j + 1] else None]
+        # live[k]: polynomial of basis j - d + k at degree d on [t_j, t_{j+1});
+        # each denominator spans [t_j, t_{j+1}], so it is at least t_{j+1} - t_j > 0
+        live = [[1.0]]
         for d in range(1, r + 1):
-            lower = [None, *live, None]  # degree d - 1, from basis j - d on
-            live = []
+            lower, live = live, []  # bases j - d + 1..j at degree d - 1
             for k in range(d + 1):
                 i = j - d + k
-                acc: list[float] | None = None
-                left_den = t[i + d] - t[i]
-                right_den = t[i + d + 1] - t[i + 1]
-                if left_den > 0.0 and lower[k] is not None:
-                    acc = _poly_mul_linear(lower[k], -t[i] / left_den, 1.0 / left_den)
-                if right_den > 0.0 and lower[k + 1] is not None:
-                    term = _poly_mul_linear(lower[k + 1], t[i + d + 1] / right_den, -1.0 / right_den)
-                    acc = term if acc is None else [x + y for x, y in zip(acc, term)]
+                if k:  # basis i at degree d - 1 is live
+                    den = t[i + d] - t[i]
+                    acc = _poly_mul_linear(lower[k - 1], -t[i] / den, 1.0 / den)
+                if k < d:  # basis i + 1 at degree d - 1 is live
+                    den = t[i + d + 1] - t[i + 1]
+                    term = _poly_mul_linear(lower[k], t[i + d + 1] / den, -1.0 / den)
+                    acc = [x + y for x, y in zip(acc, term)] if k else term
                 live.append(acc)
         acc = [0.0] * (r + 1)
         for i, poly in enumerate(live, j - r):
-            if poly is None:
-                continue
             for deg, a in enumerate(poly):
                 acc[deg] += c[i] * a
         if pieces:

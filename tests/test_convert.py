@@ -267,6 +267,35 @@ class TestKanToMlp:
         report = class_embedding_check(kan)
         assert report.depth_bound_satisfied and report.width_bound_satisfied and report.segment_bound_satisfied
 
+    @given(kan=decimal_kans())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_mlp_structure(self, kan):
+        # what a structural lift of an exact-mode MLP reads: every hidden unit
+        # reads one input with a sign, and a folded row is that sign times a
+        # row of the previous block's output map, bit for bit
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        blocks = [kan_layer_to_relu(layer, ConversionMode.EXACT).layers for layer in kan.layers]
+        for t, (layer, (w1, _)) in enumerate(zip(kan.layers, blocks)):
+            n_in, hidden = layer.n_in, mlp.layers[t]
+            assert len({id(row) for row in hidden.weight}) <= 2 * n_in
+            units = []
+            for row in w1.weight:
+                (p, s), = [(p, w) for p, w in enumerate(row) if w != 0.0]
+                assert s in (1.0, -1.0)
+                units.append((p, s))
+            assert units[:2 * n_in] == [(p, s) for p in range(n_in) for s in (1.0, -1.0)]
+            assert w1.bias[:2 * n_in] == (0.0,) * (2 * n_in)
+            if t == 0:
+                assert (hidden.weight, hidden.bias) == (w1.weight, w1.bias)
+                continue
+            prev = blocks[t - 1][1]
+            for i, (p, s) in enumerate(units):
+                row, u = hidden.weight[i], prev.weight[p]
+                assert row == tuple(s * v for v in u)
+                assert [v.hex() for v in row if v] == [(s * v).hex() for v in u if v]
+                assert hidden.bias[i].hex() == (w1.bias[i] + s * prev.bias[p]).hex()
+        assert (mlp.layers[-1].weight, mlp.layers[-1].bias) == (blocks[-1][1].weight, blocks[-1][1].bias)
+
     def test_two_layer_kan_gives_three_affine_layers(self):
         rng = random.Random(37)
         kan = random_kan(rng, max_depth=2, input_dim=2)

@@ -221,6 +221,10 @@ class TestKanEval:
         with pytest.raises(ValidationError):
             KanLayer(())
 
+    def test_ragged_grid_rejected(self, relu_pl):
+        with pytest.raises(ValidationError, match="activation grid must be rectangular"):
+            KanLayer(((relu_pl, relu_pl), (relu_pl,)))
+
     def test_activation_kinds_do_not_mix(self):
         pl = PiecewiseLinear((), (1.0,), 0.0)
         spline = PolySegmentSpline((), ((0.0, 1.0),), 1)

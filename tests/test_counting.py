@@ -171,6 +171,16 @@ class TestRegionBounds:
             values = [kan_region_upper_bound(widths, k) for k in range(1, 6)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("bound, message", [
+        (lambda: relu_region_upper_bound(0, [3]), "widths must be positive"),
+        (lambda: kan_region_upper_bound([], 2), "widths must be positive"),
+        (lambda: kan_region_upper_bound([2, 1], 0), "segment count k must be >= 1"),
+    ], ids=["relu_zero_input", "kan_no_widths", "kan_zero_segments"])
+    def test_bad_arguments_rejected(self, bound, message):
+        with pytest.raises(ValidationError) as info:
+            bound()
+        assert str(info.value) == message
+
     def test_bounds_are_exact_big_integers(self):
         assert kan_region_upper_bound([4, 4, 4], 6) == 6 ** (4 + 32)
         assert relu_region_upper_bound(10, [60, 60]) > 2**63
@@ -189,6 +199,15 @@ class TestRatios:
         sig = ClassSignature(family="kan", depth=1, width=3, segment_bound=0)
         bound, _ = regions_per_parameter(sig, [3, 3])
         assert bound == 1
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(ValidationError, match="family must be 'kan' or 'relu'"):
+            ClassSignature("cnn", 1, 1)
+
+    def test_signature_to_dict(self):
+        assert ClassSignature("relu", 2, 3).to_dict() == {
+            "family": "relu", "depth": 2, "width": 3, "segment_bound": None,
+        }
 
     @pytest.mark.parametrize("family, segment_bound", [("kan", None), ("relu", 2)])
     def test_segment_bound_is_set_exactly_for_the_kan_family(self, family, segment_bound):

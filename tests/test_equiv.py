@@ -130,6 +130,17 @@ class TestSampledEquiv:
         with pytest.raises(ShapeError):
             assert_equiv(one, two, (-1.0, 1.0), samples=10)
 
+    @pytest.mark.parametrize("width, box, samples, message", [
+        (1, (0.0, 1.0, 2.0), 10, "scalar box must be a (lo, hi) pair"),
+        (2, [(0.0, 1.0)], 10, "box needs one (lo, hi) pair per dimension (2)"),
+        (1, (0.0, 1.0), 0, "samples must be >= 1"),
+    ], ids=["three_bounds", "one_pair_for_two_inputs", "no_samples"])
+    def test_bad_box_or_samples_rejected(self, identity_pl, width, box, samples, message):
+        kan = Kan((KanLayer(((identity_pl,) * width,)),))
+        with pytest.raises(ValidationError) as info:
+            assert_equiv(kan, kan, box, samples=samples)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("scale_a, scale_b", [(10.0, -10.0), (10.0, 10.0), (10.0, 1e-300)])
     def test_non_finite_outputs_fail(self, scale_a, scale_b):
         # relu(1e308) scaled by 10 overflows to inf; the last case stays finite on one side

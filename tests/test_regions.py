@@ -12,6 +12,8 @@ from kanrelu import (
     Kan,
     KanLayer,
     PiecewiseLinear,
+    PolySegmentSpline,
+    SplineKan,
     UnsupportedDimensionError,
     ValidationError,
     composition_segment_bound,
@@ -22,7 +24,7 @@ from kanrelu import (
     kan_to_mlp,
     relu_region_upper_bound,
 )
-from kanrelu.regions import _midpoint
+from kanrelu.regions import Complex1D, Piece, _midpoint
 
 from conftest import random_kan, random_mlp, random_pl
 
@@ -61,6 +63,20 @@ class TestExactRegions1D:
         kan = Kan((KanLayer(((identity_pl, identity_pl),)),))
         with pytest.raises(UnsupportedDimensionError):
             exact_regions_1d(kan)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Piece((1.0,), ()), "piece slopes and intercepts must have equal length"),
+        (lambda: Complex1D((), ()), "piece count must be cut count + 1"),
+        (lambda: Complex1D((1.0, 0.0), (Piece((0.0,), (0.0,)),) * 3), "cut points must be strictly increasing"),
+        (lambda: Complex1D((0.0,), (Piece((1.0,), (0.0,)), Piece((2.0,), (5.0,)))),
+         "complex is discontinuous at cut 0.0"),
+        (lambda: exact_regions_1d(SplineKan((KanLayer(((PolySegmentSpline((), ((0.0, 1.0),), 1),),)),))),
+         "unsupported network type SplineKan"),
+    ], ids=["ragged_piece", "piece_count", "unordered_cuts", "discontinuous", "spline_kan"])
+    def test_invalid_input_rejected(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_oracle_soundness_kan(self):
         rng = random.Random(101)

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -91,6 +92,14 @@ class TestRoundTrip:
         assert again == mlp
         assert again.layers[0].weight_tags == mlp.layers[0].weight_tags
         assert again.layers[0].source_params == mlp.layers[0].source_params
+
+    def test_bytes_load_as_their_text(self):
+        text = (FIXTURES / "three_segment_mlp.json").read_text()
+        assert loads_model(text.encode()) == loads_model(text)
+
+    def test_unknown_model_type_rejected(self):
+        with pytest.raises(ValidationError, match="cannot serialize model of type object"):
+            model_to_dict(object())
 
     def test_sparse_export_preserves_tags_and_values(self, tmp_path):
         rng = random.Random(31)
@@ -1232,6 +1241,35 @@ class TestCliExitCodes:
         for x, printed in (("-1.5", "-1.5\n"), ("0.25", "1.5\n"), ("2", "3.5\n")):
             assert run_cli(["eval", mlp, "--input", x]) == (0, printed, "")
             assert run_cli(["eval", kan, "--input", x]) == (0, printed, "")
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the reader looks rows up by hash, layers group equal rows in dicts and
+        # the sampled verify collects its probe breakpoints in sets
+        script = (
+            "from kanrelu.cli import main\n"
+            "for argv in ("
+            f"['convert', {str(FIXTURES / 'pyramid_kan.json')!r}, 'mlp.json', '--to', 'mlp', '--mode', 'exact'],"
+            "['convert', 'mlp.json', 'kan.json', '--to', 'kan'],"
+            f"['verify', {str(FIXTURES / 'pyramid_kan.json')!r}, 'mlp.json', '--samples', '300', '--json'],"
+            f"['regions', {str(FIXTURES / 'three_segment_mlp.json')!r}, '--out', 'regions.json'],"
+            f"['fingerprint', {str(FIXTURES / 'pyramid_kan.json')!r}, '--box', '0', '1', '0', '1', '--res', '8',"
+            " '--out', 'fingerprint.csv']):\n"
+            "    print(argv[0], main(argv))\n"
+        )
+        source = str(Path(serialize.__file__).resolve().parents[1])
+        outputs = []
+        for seed in ("0", "1"):
+            work = tmp_path / seed
+            work.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))))
+            run = subprocess.run([sys.executable, "-c", script], cwd=work, env=env,
+                                 capture_output=True, text=True, timeout=300, check=True)
+            files = {path.name: path.read_bytes() for path in sorted(work.iterdir())}
+            outputs.append((run.stdout, run.stderr, files))
+        assert sorted(outputs[0][2]) == ["fingerprint.csv", "kan.json", "mlp.json", "regions.json"]
+        assert "convert 0\nconvert 0\n" in outputs[0][0]
+        assert outputs[0] == outputs[1]
 
     def test_verify_exact_1d_of_different_output_dimensions_exits_two(self, tmp_path):
         relu = PiecewiseLinear((0.0,), (0.0, 1.0), 0.0)

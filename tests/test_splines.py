@@ -1,4 +1,5 @@
 """Spline activations, the monomial-relu lowering and the reverse embedding."""
+import math
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from kanrelu.splines import MAX_DEGREE, poly_eval
 
 from conftest import random_spline
 
+NAN, INF = math.nan, math.inf
+
 
 class TestShiftPoly:
     def test_square_shifted_by_one(self):
@@ -46,6 +49,10 @@ class TestShiftPoly:
         for orig, recovered in zip(coeffs, back):
             assert abs(orig - recovered) <= 1e-12 * max(1.0, abs(orig))
 
+    def test_empty_polynomial_rejected(self):
+        with pytest.raises(ValidationError, match="polynomial needs at least one coefficient"):
+            shift_poly((), 1.0)
+
     def test_degree_preserved(self):
         rng = random.Random(71)
         for _ in range(20):
@@ -62,6 +69,11 @@ class TestSplineType:
     def test_degree_cap(self):
         with pytest.raises(ValidationError):
             PolySegmentSpline((), ((0.0,) * 7,), 6)
+
+    def test_breakpoints_must_increase(self):
+        # the spline's own call of the order check, which PL tests do not reach
+        with pytest.raises(ValidationError, match="breakpoints must be strictly increasing"):
+            PolySegmentSpline((1.0, 0.0), ((0.0,),) * 3, 0)
 
     def test_piece_degree_within_bound(self):
         with pytest.raises(ValidationError):
@@ -448,3 +460,19 @@ class TestKnotLoader:
         t = [0.0] * 7 + [1.0] * 7
         with pytest.raises(ValidationError):
             bspline_from_knots(t, [1.0] * 7, 6)
+
+    @pytest.mark.parametrize("knots, coefficients, degree, message", [
+        # a NaN knot compares false both ways, so it passed the order check
+        # and gave a zero or a truncated spline
+        ([0, 1, NAN, 3, 4, 5], [1.0] * 3, 2, "knots must be finite, got nan"),
+        ([NAN, 0, 1, 2, 3, 4], [1.0] * 4, 1, "knots must be finite, got nan"),
+        ([0, 1, 2, 3, INF, INF], [1.0] * 3, 2, "knots must be finite, got inf"),
+        ([0, 1, 2, 3, 4, 5], [1.0, NAN, 1.0], 2, "coefficients must be finite, got nan"),
+        # these ran as degree 1
+        ([0, 1, 2, 3, 4, 5], [1.0] * 4, 1.9, "degree must be an integer, got 1.9"),
+        ([0, 1, 2, 3, 4, 5], [1.0] * 4, True, "degree must be an integer, got True"),
+    ], ids=["nan_inner_knot", "nan_first_knot", "inf_knots", "nan_coefficient", "float_degree", "bool_degree"])
+    def test_bad_input_fails_loudly(self, knots, coefficients, degree, message):
+        with pytest.raises(ValidationError) as info:
+            bspline_from_knots(knots, coefficients, degree)
+        assert str(info.value) == message
