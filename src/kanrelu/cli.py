@@ -23,7 +23,7 @@ from .counting import (
     signature_of_kan,
     signature_of_mlp,
 )
-from .equiv import DEFAULT_SEED, _finite_or_none, _normalize_box, assert_equiv, equiv_exact_1d
+from .equiv import DEFAULT_SEED, _check_tol, _finite_or_none, _normalize_box, assert_equiv, equiv_exact_1d
 from .errors import (
     DomainError,
     ParseError,
@@ -142,8 +142,10 @@ def _cmd_verify(args) -> int:
     if args.samples < 1:
         print(f"verify --samples must be >= 1, got {args.samples}", file=sys.stderr)
         return USAGE_ERROR
-    if not args.tol >= 0.0:  # also rejects NaN
-        print(f"verify --tol must be >= 0, got {args.tol}", file=sys.stderr)
+    try:
+        _check_tol(args.tol)
+    except ValidationError as e:
+        print(f"verify --{e}", file=sys.stderr)
         return USAGE_ERROR
     if args.seed < 0:
         print(f"verify --seed must be >= 0, got {args.seed}", file=sys.stderr)

@@ -41,8 +41,6 @@ _Row = tuple[tuple[int, float], ...]  # (column, weight) pairs
 # (rows to sum, the first ``pairs`` of which also give their negated sums,
 # each output row's (index into the sums then the negated sums, bias))
 GroupedRows = tuple[tuple[_Row, ...], int, Sequence[tuple[int, float]]]
-# (column, first slope, intercept, (breakpoint, slope change) pairs) of a live PL activation
-_PlEntry = tuple[int, float, float, tuple[tuple[float, float], ...]]
 
 # provenance tags of MLP entries
 STRUCTURAL = "structural"
@@ -394,33 +392,24 @@ class KanLayer(_Compiled):
         """
         return tuple(tuple(p for p, act in enumerate(row) if not act.is_zero) for row in self.activations)
 
-    @cached_property
-    def _pl_rows(self) -> tuple[tuple[_PlEntry, ...], ...] | None:
-        """Per row, ``(p, slopes[0], intercept, kinks)`` for each live column
-        of a PL layer, None for a spline layer; built on first use."""
-        if not isinstance(self.activations[0][0], PiecewiseLinear):
-            return None
-        return tuple(
-            tuple((p, (act := row[p]).slopes[0], act.intercept, act.kinks) for p in live)
-            for row, live in zip(self.activations, self.live_columns)
-        )
-
     @property
     def _kernel_units(self) -> int | None:
         """Live activations plus kinks of a PL layer, None for a spline layer."""
-        if self._pl_rows is None:
+        if not isinstance(self.activations[0][0], PiecewiseLinear):
             return None
-        return sum(1 + len(kinks) for row in self._pl_rows for _, _, _, kinks in row)
+        rows = zip(self.activations, self.live_columns)
+        return sum(1 + len(row[p].kinks) for row, live in rows for p in live)
 
     def _kernel_lines(self) -> list[str]:
-        """``_forward``'s loop over ``_pl_rows``, unrolled: flat ``if``s do
-        what its ``break`` does, as breakpoints strictly increase."""
-        lines = _loads(p for row in self._pl_rows for p, _, _, _ in row)
-        for q, row in enumerate(self._pl_rows):
+        """``PiecewiseLinear.evaluate`` over ``live_columns``, unrolled: flat
+        ``if``s do what its ``break`` does, as breakpoints strictly increase."""
+        lines = _loads(chain.from_iterable(self.live_columns))
+        for q, (row, live) in enumerate(zip(self.activations, self.live_columns)):
             lines.append(f"a{q} = 0.0")
-            for p, slope, intercept, kinks in row:
-                lines.append(f"y = ({slope!r})*x{p} + ({intercept!r})")
-                lines += [f"if ({b!r}) <= x{p}: y += ({d!r})*(x{p} - ({b!r}))" for b, d in kinks]
+            for p in live:
+                act = row[p]
+                lines.append(f"y = ({act.slopes[0]!r})*x{p} + ({act.intercept!r})")
+                lines += [f"if ({b!r}) <= x{p}: y += ({d!r})*(x{p} - ({b!r}))" for b, d in act.kinks]
                 lines.append(f"a{q} += y")
         lines.append(_returns("a", self.n_out))
         return lines
@@ -433,9 +422,9 @@ class KanLayer(_Compiled):
         ``live_columns`` are visited.  A finite sum of the inputs means every
         input is finite; otherwise every activation is visited, where a PL
         one raises ``DomainError`` at a non-finite input and a spline gives
-        NaN.  A PL layer evaluates ``_pl_rows`` with the operations of
-        ``PiecewiseLinear.evaluate``, in the same order, in a loop or in its
-        compiled kernel.
+        NaN.  Each activation is evaluated by its own ``evaluate``, or, once a
+        PL layer is compiled, by its kernel, which does the same operations
+        in the same order.
         """
         return self._forward(_as_vector(x, self.n_in, "KanLayer input"))
 
@@ -444,21 +433,6 @@ class KanLayer(_Compiled):
         finite = math.isfinite(sum(v))
         if finite and (kernel := self._finite_kernel()) is not None:
             return kernel(v)
-        if finite and self._pl_rows is not None:
-            out = []
-            for row in self._pl_rows:
-                acc = 0.0
-                for p, slope, intercept, kinks in row:
-                    t = v[p]
-                    y = slope * t + intercept
-                    for b, d in kinks:
-                        if b <= t:
-                            y += d * (t - b)
-                        else:
-                            break
-                    acc += y
-                out.append(acc)
-            return tuple(out)
         columns = self.live_columns if finite else (range(self.n_in),) * self.n_out
         out = []
         for row, live in zip(self.activations, columns):

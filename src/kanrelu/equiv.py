@@ -132,6 +132,11 @@ def _normalize_box(box, dim: int) -> list[tuple[float, float]]:
     return out
 
 
+def _check_tol(tol: float) -> None:
+    if not tol >= 0.0:  # also rejects NaN
+        raise ValidationError(f"tol must be >= 0, got {tol}")
+
+
 def _probe_points(a, b, box: list[tuple[float, float]]) -> list[tuple[float, ...]]:
     """The box center moved to just left and right of each first-layer
     breakpoint in one coordinate, kept only when that coordinate stays in the box."""
@@ -186,8 +191,10 @@ def assert_equiv(a, b, box, samples: int = 1000, tol: float = 1e-8, seed: int = 
 
     The error metric is |a(x) - b(x)| / (1 + max(|a(x)|, |b(x)|)) per output
     coordinate, so the tolerance is meaningful across output magnitudes.
-    A negative ``seed`` raises ``ValidationError``, as in ``halton_points``.
+    A negative ``seed`` raises ``ValidationError``, as in ``halton_points``,
+    and so does a negative or NaN ``tol``.
     """
+    _check_tol(tol)
     if a.input_dim != b.input_dim or a.output_dim != b.output_dim:
         raise ShapeError(
             f"network shapes differ: {a.input_dim}->{a.output_dim} vs {b.input_dim}->{b.output_dim}"
@@ -229,8 +236,10 @@ def equiv_exact_1d(a, b, tol: float = 1e-9) -> EquivReport:
     Passes only when both normalized complexes have matching cut sets
     (paired within 1e-9) and per-piece affine coefficients within ``tol``
     under the combined absolute/relative metric.  A non-finite coefficient
-    on either side fails with infinite errors.
+    on either side fails with infinite errors.  A negative or NaN ``tol``
+    raises ``ValidationError``.
     """
+    _check_tol(tol)
     ca = exact_regions_1d(a)
     cb = exact_regions_1d(b)
     if ca.output_dim != cb.output_dim:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
 
-from .core import Activation, Kan, Mlp, MlpLayer, Vector, _all_finite, _check_increasing
+from .core import Activation, Kan, Mlp, MlpLayer, Vector, _all_finite, _check_increasing, _finite_floats
 from .errors import UnsupportedDimensionError, ValidationError
 
 CUT_MERGE_TOL = 1e-12
@@ -46,6 +46,7 @@ class Complex1D:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cut_points", _finite_floats(self.cut_points, "cut points"))
         if len(self.pieces) != len(self.cut_points) + 1:
             raise ValidationError("piece count must be cut count + 1")
         _check_increasing(self.cut_points, "cut points")

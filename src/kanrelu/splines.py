@@ -241,13 +241,23 @@ def _poly_mul_linear(coeffs: Sequence[float], c0: float, c1: float) -> list[floa
     return out
 
 
+def _knot_span(t: Sequence[float], lo: int, hi: int) -> float:
+    """``t[hi] - t[lo]``, a recursion denominator; one that overflows to inf
+    would divide every basis it scales to zero, so it raises instead."""
+    span = t[hi] - t[lo]
+    if not math.isfinite(span):
+        raise ValidationError(f"knot span {t[lo]!r} to {t[hi]!r} overflows")
+    return span
+
+
 def bspline_from_knots(
     knots: Sequence[float], coefficients: Sequence[float], degree: int
 ) -> PolySegmentSpline:
     """Convert a knot/control-coefficient B-spline to piecewise polynomials.
 
-    The knots and coefficients must be finite and the degree an integer
-    from 0 to ``MAX_DEGREE``.  On each knot interval of the span, runs the
+    The knots and coefficients must be finite, with no knot span the
+    recursion divides by overflowing, and the degree an integer from 0 to
+    ``MAX_DEGREE``.  On each knot interval of the span, runs the
     basis recursion on polynomial coefficients over the bases live there
     (the degree + 1 bases j - degree..j on interval j; every other basis is
     zero on it), then sums them weighted by their control coefficients.
@@ -276,10 +286,10 @@ def bspline_from_knots(
             for k in range(d + 1):
                 i = j - d + k
                 if k:  # basis i at degree d - 1 is live
-                    den = t[i + d] - t[i]
+                    den = _knot_span(t, i, i + d)
                     acc = _poly_mul_linear(lower[k - 1], -t[i] / den, 1.0 / den)
                 if k < d:  # basis i + 1 at degree d - 1 is live
-                    den = t[i + d + 1] - t[i + 1]
+                    den = _knot_span(t, i + 1, i + d + 1)
                     term = _poly_mul_linear(lower[k], t[i + d + 1] / den, -1.0 / den)
                     acc = [x + y for x, y in zip(acc, term)] if k else term
                 live.append(acc)

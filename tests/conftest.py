@@ -39,9 +39,10 @@ def decimal_pls(draw, slopes=DECIMALS) -> PiecewiseLinear:
 
 
 @st.composite
-def decimal_kans(draw) -> Kan:
-    """A KAN of depth 1-3 and widths 1-3 whose activations are ``decimal_pls``."""
-    widths = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+def decimal_kans(draw, widths=st.lists(st.integers(1, 3), min_size=2, max_size=4)) -> Kan:
+    """A KAN with layer widths drawn from ``widths`` (by default depth 1-3 and
+    widths 1-3) whose activations are ``decimal_pls``."""
+    widths = draw(widths)
     return Kan(tuple(
         KanLayer(tuple(tuple(draw(decimal_pls()) for _ in range(n_in)) for _ in range(n_out)))
         for n_in, n_out in zip(widths, widths[1:])

@@ -302,6 +302,11 @@ def _exact_loop(cuts, pieces_a, pieces_b):
 # few distinct values, so errors tie often
 _OUTPUTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e308, -1e308, math.inf, -math.inf, math.nan]) | st.floats()
 _TOLS = st.sampled_from([0.0, 1e-9, 0.5, math.inf])
+# each mode's comparison of two 1-input networks at a tolerance
+_MODES = {
+    "sampled": lambda a, b, tol: assert_equiv(a, b, (-5.0, 5.0), samples=20, tol=tol),
+    "exact_1d": lambda a, b, tol: equiv_exact_1d(a, b, tol=tol),
+}
 
 
 def _vectors(width, count):
@@ -333,6 +338,21 @@ class TestSharedScan:
         report = equiv_exact_1d(kan, kan)
         assert report.max_rel_error == 0.0
         assert report.worst_point == (-0.5,)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-8, -math.inf])
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_negative_or_nan_tol_rejected(self, three_segment_pl, mode, tol):
+        # a NaN tol used to fail identical networks with max_rel_error 0.0
+        kan = Kan((KanLayer(((three_segment_pl,),)),))
+        with pytest.raises(ValidationError) as info:
+            _MODES[mode](kan, kan, tol)
+        assert str(info.value) == f"tol must be >= 0, got {tol}"
+
+    @pytest.mark.parametrize("mode", sorted(_MODES))
+    def test_zero_tol_passes_identical_networks(self, three_segment_pl, mode):
+        kan = Kan((KanLayer(((three_segment_pl,),)),))
+        report = _MODES[mode](kan, kan, 0.0)
+        assert report.passed and report.max_rel_error == 0.0
 
     @given(st.integers(1, 3), st.integers(1, 12), _TOLS, st.data())
     @settings(max_examples=300, deadline=None)

@@ -252,7 +252,7 @@ class TestMlpLayerApply:
         count_params_kan(kan), count_params_mlp(mlp), count_params_kan(back)
         for name, model in (("kan", kan), ("mlp", mlp), ("back", back)):
             save(model, tmp_path / f"{name}.json")
-        caches = {Mlp: ("_grouped_rows",), Kan: ("live_columns", "_pl_rows")}
+        caches = {Mlp: ("_grouped_rows",), Kan: ("live_columns",)}
 
         def built(model):
             return [name in vars(layer) for layer in model.layers for name in caches[type(model)]]

@@ -26,7 +26,7 @@ from kanrelu import (
 )
 from kanrelu.regions import Complex1D, Piece, _midpoint
 
-from conftest import random_kan, random_mlp, random_pl
+from conftest import decimal_kans, random_kan, random_mlp, random_pl
 
 
 def _kan_1d(rng, max_width=3, max_depth=2, max_segments=4):
@@ -70,9 +70,13 @@ class TestExactRegions1D:
         (lambda: Complex1D((1.0, 0.0), (Piece((0.0,), (0.0,)),) * 3), "cut points must be strictly increasing"),
         (lambda: Complex1D((0.0,), (Piece((1.0,), (0.0,)), Piece((2.0,), (5.0,)))),
          "complex is discontinuous at cut 0.0"),
+        (lambda: Complex1D((math.nan,), (Piece((0.0,), (0.0,)), Piece((1.0,), (0.0,)))),
+         "cut points must be finite, got nan"),
+        (lambda: Complex1D((math.inf,), (Piece((0.0,), (0.0,)), Piece((1.0,), (0.0,)))),
+         "cut points must be finite, got inf"),
         (lambda: exact_regions_1d(SplineKan((KanLayer(((PolySegmentSpline((), ((0.0, 1.0),), 1),),)),))),
          "unsupported network type SplineKan"),
-    ], ids=["ragged_piece", "piece_count", "unordered_cuts", "discontinuous", "spline_kan"])
+    ], ids=["ragged_piece", "piece_count", "unordered_cuts", "discontinuous", "nan_cut", "inf_cut", "spline_kan"])
     def test_invalid_input_rejected(self, build, message):
         with pytest.raises(ValidationError) as info:
             build()
@@ -194,6 +198,14 @@ class TestBoundDomination:
             widths = list(kan.widths[:-1])
             bound = kan_region_upper_bound(widths, kan.max_segments())
             assert exact_regions_1d(kan).region_count <= bound
+
+    @given(decimal_kans(st.lists(st.integers(1, 3), max_size=2).map(lambda inner: [1, *inner, 1])))
+    @settings(max_examples=300, deadline=None)
+    def test_kan_and_its_mlp_regions_within_bounds(self, kan):
+        bound = kan_region_upper_bound(kan.widths[:-1], kan.max_segments())
+        assert exact_regions_1d(kan).region_count <= bound
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        assert exact_regions_1d(mlp).region_count <= relu_region_upper_bound(1, mlp.hidden_widths)
 
     def test_mlp_regions_within_bound(self):
         rng = random.Random(127)

@@ -1427,6 +1427,13 @@ class TestCliExitCodes:
         assert (code, out) == (2, "")
         assert "--tol" in err
 
+    @pytest.mark.parametrize("exact", [[], ["--exact-1d"]], ids=["sampled", "exact_1d"])
+    def test_verify_nan_tol_exits_two_before_loading(self, tmp_path, exact):
+        missing = tmp_path / "missing.json"
+        code, out, err = run_cli(["verify", missing, missing, "--tol", "nan", *exact])
+        assert (code, out) == (2, "")
+        assert err == "verify --tol must be >= 0, got nan\n"
+
     def test_verify_negative_seed_exits_two_before_loading(self, tmp_path):
         # seed -1 used to sample the points of seed 0
         missing = tmp_path / "missing.json"

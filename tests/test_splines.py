@@ -471,8 +471,16 @@ class TestKnotLoader:
         # these ran as degree 1
         ([0, 1, 2, 3, 4, 5], [1.0] * 4, 1.9, "degree must be an integer, got 1.9"),
         ([0, 1, 2, 3, 4, 5], [1.0] * 4, True, "degree must be an integer, got True"),
-    ], ids=["nan_inner_knot", "nan_first_knot", "inf_knots", "nan_coefficient", "float_degree", "bool_degree"])
+        # t[2] - t[1] overflows to inf, which divided the basis to zero: a zero spline
+        ([-1e308, -1e308, 1e308, 1e308], [1.0, 1.0], 1, "knot span -1e+308 to 1e+308 overflows"),
+    ], ids=["nan_inner_knot", "nan_first_knot", "inf_knots", "nan_coefficient", "float_degree", "bool_degree",
+            "overflowing_span"])
     def test_bad_input_fails_loudly(self, knots, coefficients, degree, message):
         with pytest.raises(ValidationError) as info:
             bspline_from_knots(knots, coefficients, degree)
         assert str(info.value) == message
+
+    def test_huge_knots_with_finite_spans_are_kept(self):
+        # every span the recursion divides by is finite, though the knots reach ±1e308
+        spline = bspline_from_knots([-1e308, 0.0, 1.0, 1e308], [1.0, 1.0], 1)
+        assert spline.piece_coeffs == ((1.0, 0.0),)
