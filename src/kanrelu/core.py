@@ -8,19 +8,22 @@ are the negations of another row's gets its sum as ``0.0 - s`` from the
 other's sum ``s``: round-to-nearest is symmetric, so each partial sum is
 negated exactly, and an exact zero is ``+0.0`` in both sums.
 
-A layer that keeps being evaluated is compiled into a kernel: one Python
-function built once from generated straight-line source that does the float
+A network that keeps being evaluated compiles its layers into kernels: per
+layer, one Python function built once from generated straight-line source
+that takes the layer's inputs as its arguments and does the float
 operations of the layer's loop, in the same order, so every output bit is
-the loop's.  It saves the loop's interpreter overhead: one point through the
-4-88-88-88-4 MLP of a converted 4/3/6 KAN takes about 28 µs compiled against
-52-68 µs in the loop (1 CPU, Python 3.11).  Compiling costs 20-50 µs per
-unit of straight-line size against about 0.1 µs per unit for one
-interpreted apply, so a layer is compiled only after ``KERNEL_AFTER``
-applies at a finite input, and only when its size is at most
-``KERNEL_MAX_UNITS``, which covers every layer of an exact conversion up to
-a 16/3/8 KAN (4,128 units at most) and leaves out the 66,816-unit hidden
-layers of a round-tripped 8/3/8 KAN.  Non-finite inputs, inputs whose sum
-overflows and spline layers always take the loop.
+the loop's.  A kernel returns None when an output is not finite, so each
+kernel gets finite inputs only; the network then runs again through the
+loops, as it does for a non-finite input.  One point through the
+4-88-88-88-4 MLP of a converted 4/3/6 KAN takes about 17-20 µs compiled
+against about 33 µs in the loops (2 vCPU, Python 3.11).  Compiling costs
+10-25 µs per unit of straight-line size against about 0.1 µs per unit for
+one interpreted apply, so a network compiles only after ``KERNEL_AFTER``
+evaluations at a finite input, each layer in its own ``compile`` call and
+only when its size is at most ``KERNEL_MAX_UNITS``, which covers every
+layer of an exact conversion up to a 16/3/8 KAN (4,128 units at most) and
+leaves out the 66,816-unit hidden layers of a round-tripped 8/3/8 KAN; such
+a layer runs its loop in its kernel's place.  Spline layers have no kernel.
 """
 from __future__ import annotations
 
@@ -51,12 +54,15 @@ _FLOAT = frozenset((float,))
 MAX_DEGREE = 5
 CONTINUITY_REL_TOL = 1e-9
 
-# a layer is compiled after this many applies at a finite input ...
+# a network compiles after this many evaluations at a finite input ...
 KERNEL_AFTER = 256
-# ... when its straight-line size is at most this many units
+# ... each layer whose straight-line size is at most this many units
 KERNEL_MAX_UNITS = 8192
 # at most this many terms per generated statement, so no expression nests deeply
 _KERNEL_TERMS = 64
+# at most this many kink tests nest in one chunk, well below the
+# interpreter's limit of 100 indentation levels
+_KERNEL_NEST = 32
 
 
 def _finite_floats(values: Iterable[float], name: str) -> tuple[float, ...]:
@@ -121,65 +127,55 @@ def _as_vector(x: Sequence[float], expected: int, what: str) -> Vector:
     return tuple(map(float, x))
 
 
-_Kernel = Callable[[Vector], Vector]
+_Kernel = Callable[..., "Vector | None"]
+
+# a kernel output is finite when it lies in [-_MAX, _MAX]; an MLP row sum
+# and a bias that each lie in [-_HALF, _HALF] add up to a finite output
+_MAX = sys.float_info.max
+_HALF = _MAX / 2
 
 
-def _build_kernel(body: Iterable[str]) -> _Kernel:
-    """The function ``kernel(v)`` whose body is the generated lines ``body``.
+def _build_kernel(n_in: int, body: Iterable[str]) -> _Kernel:
+    """The function ``kernel(x0, ..., x{n_in-1})`` whose body is the
+    generated lines ``body``, which carry their own nesting.
 
     The lines hold only ``repr`` of floats, integer indices and generated
-    names.  The floats are the checked-finite parameters, and the slope
-    changes ``kinks``, which are ``inf`` or ``-inf`` where the difference of
-    two finite slopes overflows.  The source runs with its own globals,
-    which have no builtins but bind ``inf``, and its own locals, so the
-    function and its namespaces form no reference cycle and are freed with
-    the layer that holds the function.
+    names.  The floats are the checked-finite parameters, their finiteness
+    bounds, and the slope changes ``kinks``, which are ``inf`` or ``-inf``
+    where the difference of two finite slopes overflows.  The source runs
+    with its own globals, which have no builtins but bind ``inf``, and its
+    own locals, so the function and its namespaces form no reference cycle
+    and are freed with the network that holds the function.
     """
-    source = "def kernel(v):\n" + "".join(f" {line}\n" for line in body)
+    params = ", ".join(f"x{p}" for p in range(n_in))
+    source = f"def kernel({params}):\n" + "".join(f" {line}\n" for line in body)
     namespace: dict = {}
     exec(compile(source, "<kanrelu kernel>", "exec"), {"__builtins__": {}, "inf": math.inf}, namespace)
     return namespace["kernel"]
 
 
-def _loads(columns: Iterable[int]) -> list[str]:
-    """A local ``x{p} = v[p]`` per column ``p`` a kernel reads, ascending."""
-    return [f"x{p} = v[{p}]" for p in sorted(set(columns))]
+def _none_unless_within(names: Sequence[str], bound: float) -> list[str]:
+    """Lines that return ``None`` unless each of ``names`` lies in
+    ``[-bound, bound]``, which a NaN never does."""
+    lines = []
+    for start in range(0, len(names), _KERNEL_TERMS):
+        tests = " and ".join(f"{-bound!r} <= {name} <= {bound!r}" for name in names[start:start + _KERNEL_TERMS])
+        lines.append(f"if not ({tests}): return None")
+    return lines
 
 
 def _returns(name: str, count: int) -> str:
     return "return (" + "".join(f"{name}{i}, " for i in range(count)) + ")"
 
 
-class _Compiled:
-    """Tiered compilation for a layer type with ``_kernel_units`` (its
-    straight-line size, None for a layer with no kernel) and
-    ``_kernel_lines`` (the kernel body): the loop serves until
-    ``KERNEL_AFTER`` finite applies, then the kernel, if the layer is small
-    enough to compile.
-
-    The call count and the kernel sit in the instance ``__dict__`` beside
-    its cached row views, and are neither compared nor pickled.  Two threads
-    racing on the count may at worst both compile; either kernel is right.
-    """
-
-    def _finite_kernel(self) -> _Kernel | None:
-        """The kernel for a finite input, counting this call, or None for the loop."""
-        state = vars(self)
-        kernel = state.get("_kernel")
-        if kernel is None:
-            calls = state["_calls"] = state.get("_calls", 0) + 1
-            if calls < KERNEL_AFTER:
-                return None
-            units = self._kernel_units
-            # False: decided, never compiled
-            kernel = state["_kernel"] = (
-                units is not None and units <= KERNEL_MAX_UNITS and _build_kernel(self._kernel_lines())
-            )
-        return kernel or None
-
-    def __getstate__(self) -> dict:
-        # a generated function cannot be pickled; a copy counts afresh
-        return {k: v for k, v in vars(self).items() if k not in ("_kernel", "_calls")}
+def _finite_loop(forward: Callable[[Vector, bool], Vector]) -> _Kernel:
+    """A layer loop ``forward`` in a kernel's place, at inputs that are all
+    finite: its output, or ``None`` when one of its outputs is not finite or
+    their sum overflows."""
+    def loop(*v: float) -> Vector | None:
+        y = forward(v, True)
+        return y if math.isfinite(sum(y)) else None
+    return loop
 
 
 @dataclass(frozen=True)
@@ -352,7 +348,7 @@ class PolySegmentSpline:
 
 
 @dataclass(frozen=True)
-class KanLayer(_Compiled):
+class KanLayer:
     """One KAN layer: an n_out-by-n_in grid of univariate activations.
 
     Output coordinate q is the sum over inputs p of activations[q][p](x_p).
@@ -401,16 +397,25 @@ class KanLayer(_Compiled):
         return sum(1 + len(row[p].kinks) for row, live in rows for p in live)
 
     def _kernel_lines(self) -> list[str]:
-        """``PiecewiseLinear.evaluate`` over ``live_columns``, unrolled: flat
-        ``if``s do what its ``break`` does, as breakpoints strictly increase."""
-        lines = _loads(chain.from_iterable(self.live_columns))
+        """``PiecewiseLinear.evaluate`` over ``live_columns``, unrolled.
+
+        The kink tests of an activation nest, so a failed test skips the
+        rest as ``evaluate``'s ``break`` does.  They nest in chunks of
+        ``_KERNEL_NEST``: a chunk after a failed test fails its first test
+        too, as breakpoints strictly increase.
+        """
+        lines = []
         for q, (row, live) in enumerate(zip(self.activations, self.live_columns)):
             lines.append(f"a{q} = 0.0")
             for p in live:
                 act = row[p]
-                lines.append(f"y = ({act.slopes[0]!r})*x{p} + ({act.intercept!r})")
-                lines += [f"if ({b!r}) <= x{p}: y += ({d!r})*(x{p} - ({b!r}))" for b, d in act.kinks]
+                lines.append(f"y = {act.slopes[0]!r}*x{p} + {act.intercept!r}")
+                for start in range(0, len(act.kinks), _KERNEL_NEST):
+                    for depth, (b, d) in enumerate(act.kinks[start:start + _KERNEL_NEST]):
+                        lines.append(f"{' ' * depth}if {b!r} <= x{p}:")
+                        lines.append(f"{' ' * depth} y += {d!r}*(x{p} - {b!r})")
                 lines.append(f"a{q} += y")
+        lines += _none_unless_within([f"a{q}" for q in range(self.n_out)], _MAX)
         lines.append(_returns("a", self.n_out))
         return lines
 
@@ -422,17 +427,17 @@ class KanLayer(_Compiled):
         ``live_columns`` are visited.  A finite sum of the inputs means every
         input is finite; otherwise every activation is visited, where a PL
         one raises ``DomainError`` at a non-finite input and a spline gives
-        NaN.  Each activation is evaluated by its own ``evaluate``, or, once a
-        PL layer is compiled, by its kernel, which does the same operations
-        in the same order.
+        NaN.  Each activation is evaluated by its own ``evaluate``; a
+        network's kernel of a PL layer does the same operations in the same
+        order.
         """
         return self._forward(_as_vector(x, self.n_in, "KanLayer input"))
 
-    def _forward(self, v: Vector) -> Vector:
-        """``apply`` on a float tuple of length ``n_in``."""
-        finite = math.isfinite(sum(v))
-        if finite and (kernel := self._finite_kernel()) is not None:
-            return kernel(v)
+    def _forward(self, v: Vector, finite: bool | None = None) -> Vector:
+        """``apply`` on a float tuple of length ``n_in``; ``finite`` says that
+        every input is finite, and is found from their sum when None."""
+        if finite is None:
+            finite = math.isfinite(sum(v))
         columns = self.live_columns if finite else (range(self.n_in),) * self.n_out
         out = []
         for row, live in zip(self.activations, columns):
@@ -445,7 +450,17 @@ class KanLayer(_Compiled):
 
 @dataclass(frozen=True)
 class _Chain:
-    """Layers applied left to right, each one's outputs feeding the next one's inputs."""
+    """Layers applied left to right, each one's outputs feeding the next one's inputs.
+
+    Evaluation is tiered: the layer loops serve until ``KERNEL_AFTER``
+    evaluations at a finite input, then the network compiles, one
+    ``compile`` per layer, each layer whose ``_kernel_units`` (its
+    straight-line size, None for a layer with no kernel) is at most
+    ``KERNEL_MAX_UNITS``.  The call count and the kernels sit in the
+    instance ``__dict__``, and are neither compared nor pickled.  Two
+    threads racing on the count may at worst both compile; either set of
+    kernels is right.
+    """
 
     layers: tuple
     layer_type: ClassVar[type]
@@ -482,13 +497,49 @@ class _Chain:
     def evaluate(self, x: Sequence[float]) -> Vector:
         """The last layer's outputs at ``x``, converted to floats once.
 
-        Each layer's ``_forward`` takes the float tuple its predecessor
-        returned, so no intermediate is checked or converted again.
+        Once compiled, each layer's kernel takes the finite outputs of the
+        one before as its arguments.  A kernel returns ``None`` when one of
+        its outputs is not finite, and then the network runs again from
+        ``x`` through the layer loops, as it does for a non-finite ``x``;
+        the loops give the kernels' bits, and also the ``DomainError`` of a
+        PL layer and the NaNs of ``0.0 * inf``.  Each layer's ``_forward``
+        takes the float tuple its predecessor returned, so no intermediate
+        is checked or converted again.
         """
         x = _as_vector(x, self.input_dim, f"{type(self).__name__} input")
+        if math.isfinite(sum(x)) and (kernels := self._finite_kernels()):
+            y = x
+            for kernel in kernels:
+                if (y := kernel(*y)) is None:
+                    break
+            else:
+                return y
         for layer in self.layers:
             x = layer._forward(x)
         return x
+
+    def _finite_kernels(self) -> tuple[_Kernel, ...] | None:
+        """The kernel per layer for a finite input, counting this call, or
+        None for the loops.  A layer too big to compile runs its loop in
+        its kernel's place."""
+        state = vars(self)
+        kernels = state.get("_kernels")
+        if kernels is None:
+            calls = state["_calls"] = state.get("_calls", 0) + 1
+            if calls < KERNEL_AFTER:
+                return None
+            sizes = [layer._kernel_units for layer in self.layers]
+            fits = [units is not None and units <= KERNEL_MAX_UNITS for units in sizes]
+            # False: decided, never compiled
+            kernels = state["_kernels"] = any(fits) and tuple(
+                _build_kernel(layer.n_in, layer._kernel_lines()) if fit else _finite_loop(layer._forward)
+                for layer, fit in zip(self.layers, fits)
+            )
+        return kernels or None
+
+    def __getstate__(self) -> dict:
+        # a generated function cannot be pickled; a copy counts afresh
+        return {k: v for k, v in vars(self).items() if k not in ("_kernels", "_calls")}
 
 
 @dataclass(frozen=True)
@@ -520,7 +571,7 @@ class Activation(str, Enum):
 
 
 @dataclass(frozen=True)
-class MlpLayer(_Compiled):
+class MlpLayer:
     """One affine layer of an MLP plus the activation applied after it.
 
     ``weight_tags``/``bias_tags`` mark entries as "structural" (a constant
@@ -618,36 +669,45 @@ class MlpLayer(_Compiled):
 
     def _kernel_lines(self) -> list[str]:
         """``_forward``'s loop over the grouped rows, unrolled; a long row
-        is summed in statements of at most ``_KERNEL_TERMS`` terms."""
+        is summed in statements of at most ``_KERNEL_TERMS`` terms.
+
+        When every ``|bias|`` is at most ``_HALF``, a row sum of at most
+        ``_HALF`` gives a finite output, so only the distinct row sums are
+        checked, before any output is built; otherwise each output is.
+        """
         rows, pairs, index_bias = self._grouped_rows
-        lines = _loads(p for row in rows for p, _ in row)
+        lines = []
         for j, row in enumerate(rows):
             acc = "0.0"
             for start in range(0, len(row), _KERNEL_TERMS):
-                terms = "".join(f" + ({w!r})*x{p}" for p, w in row[start:start + _KERNEL_TERMS])
+                terms = "".join(f" + {w!r}*x{p}" for p, w in row[start:start + _KERNEL_TERMS])
                 lines.append(f"s{j} = {acc}{terms}")
                 acc = f"s{j}"
             if not row:
                 lines.append(f"s{j} = 0.0")
+        small_bias = all(-_HALF <= b <= _HALF for b in self.bias)
+        if small_bias:
+            lines += _none_unless_within([f"s{j}" for j, row in enumerate(rows) if row], _HALF)
         lines += [f"s{len(rows) + j} = 0.0 - s{j}" for j in range(pairs)]
         for i, (j, b) in enumerate(index_bias):
-            lines.append(f"o{i} = s{j} + ({b!r})")
+            lines.append(f"o{i} = s{j} + {b!r}")
             if self.activation is Activation.RELU:
                 lines.append(f"o{i} = o{i} if o{i} > 0.0 else 0.0")
+        if not small_bias:
+            lines += _none_unless_within([f"o{i}" for i in range(self.n_out)], _MAX)
         lines.append(_returns("o", self.n_out))
         return lines
 
     def apply(self, x: Sequence[float]) -> Vector:
         return self._forward(_as_vector(x, self.n_in, "MlpLayer input"))
 
-    def _forward(self, v: Vector) -> Vector:
-        """``apply`` on a float tuple of length ``n_in``: the compiled kernel
-        or the loop, with the same bits."""
+    def _forward(self, v: Vector, finite: bool | None = None) -> Vector:
+        """``apply`` on a float tuple of length ``n_in``; ``finite`` says that
+        every input is finite, and is found from their sum when None."""
         # a finite sum means every input is finite; a finite input whose sum
         # overflows takes the ungrouped rows, which give the same bits
-        finite = math.isfinite(sum(v))
-        if finite and (kernel := self._finite_kernel()) is not None:
-            return kernel(v)
+        if finite is None:
+            finite = math.isfinite(sum(v))
         rows, pairs, index_bias = self.summation_rows(finite)
         sums = []
         for row in rows:

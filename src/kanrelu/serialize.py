@@ -26,7 +26,7 @@ import re
 import struct
 from collections import defaultdict
 from functools import partial
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import is_, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -502,17 +502,34 @@ def _tag_matrix(values: Iterable, where: str):
     return _each_row_once(values, convert)
 
 
-def _parse_pl(doc: Any, where: str) -> PiecewiseLinear:
-    return PiecewiseLinear(
-        breakpoints=_floats(_need(doc, "breakpoints", list, where), f"{where}.breakpoints"),
-        slopes=_floats(_need(doc, "slopes", list, where), f"{where}.slopes"),
-        intercept=_need(doc, "intercept", float, where),
-    )
+def _doubles(shape: Any, *values: float) -> tuple:
+    """A key for the floats ``values`` laid out as ``shape``: two keys are
+    equal when the values are equal bit for bit, so ``-0.0`` stays apart
+    from ``0.0``."""
+    return shape, struct.pack(f"{len(values)}d", *values)
 
 
-def _parse_layers(payload: Any, parse_act) -> tuple[KanLayer, ...]:
+def _pl_fields(doc: Any, where: str) -> tuple[Any, tuple]:
+    breakpoints = _floats(_need(doc, "breakpoints", list, where), f"{where}.breakpoints")
+    slopes = _floats(_need(doc, "slopes", list, where), f"{where}.slopes")
+    intercept = _need(doc, "intercept", float, where)
+    return _doubles(len(breakpoints), *breakpoints, *slopes, intercept), (breakpoints, slopes, intercept)
+
+
+def _parse_layers(
+    payload: Any, kind: type, fields: Callable[[Any, str], tuple[Any, tuple]]
+) -> tuple[KanLayer, ...]:
     """Each KAN layer, built as soon as every entry of its activation grid
-    is read by ``parse_act``."""
+    is read.
+
+    ``fields(doc, where)`` reads an entry's arguments to ``kind`` and a key
+    that is equal for two entries exactly when their arguments are equal
+    bit for bit.  Entries of one key share one ``kind`` object, built at the
+    first of them, so a converted KAN's repeated activations are built
+    once; an entry that does not build is never shared, so an error names
+    the first bad entry in grid order.
+    """
+    shared: dict[Any, Any] = {}
     layers = []
     for i, layer_doc in enumerate(_need(payload, "layers", list, "payload")):
         where = f"payload.layers[{i}]"
@@ -523,16 +540,21 @@ def _parse_layers(payload: Any, parse_act) -> tuple[KanLayer, ...]:
             not isinstance(row, list) or len(row) != n_in for row in grid_doc
         ):
             raise ParseError(f"{where}.activations: grid must be n_out rows of n_in entries")
-        grid = tuple(
-            tuple(parse_act(act, f"{where}.activations[{q}][{p}]") for p, act in enumerate(row))
-            for q, row in enumerate(grid_doc)
-        )
-        layers.append(KanLayer(grid))
+        grid = []
+        for q, row in enumerate(grid_doc):
+            cells = []
+            for p, act in enumerate(row):
+                key, args = fields(act, f"{where}.activations[{q}][{p}]")
+                if (built := shared.get(key)) is None:
+                    built = shared[key] = kind(*args)
+                cells.append(built)
+            grid.append(tuple(cells))
+        layers.append(KanLayer(tuple(grid)))
     return tuple(layers)
 
 
 def _parse_kan(payload: Any) -> Kan:
-    return Kan(_parse_layers(payload, _parse_pl))
+    return Kan(_parse_layers(payload, PiecewiseLinear, _pl_fields))
 
 
 def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
@@ -606,19 +628,17 @@ def _parse_mlp(payload: Any) -> Mlp:
     )
 
 
-def _parse_spline(doc: Any, where: str) -> PolySegmentSpline:
+def _spline_fields(doc: Any, where: str) -> tuple[Any, tuple]:
     pieces_doc = _need(doc, "pieces", list, where)
-    return PolySegmentSpline(
-        breakpoints=_floats(_need(doc, "breakpoints", list, where), f"{where}.breakpoints"),
-        piece_coeffs=tuple(
-            _floats(c, f"{where}.pieces[{i}]") for i, c in enumerate(pieces_doc)
-        ),
-        degree_bound=_need(doc, "degree", int, where),
-    )
+    breakpoints = _floats(_need(doc, "breakpoints", list, where), f"{where}.breakpoints")
+    pieces = tuple(_floats(c, f"{where}.pieces[{i}]") for i, c in enumerate(pieces_doc))
+    degree = _need(doc, "degree", int, where)
+    key = _doubles((degree, len(breakpoints), *map(len, pieces)), *breakpoints, *chain.from_iterable(pieces))
+    return key, (breakpoints, pieces, degree)
 
 
 def _parse_spline_kan(payload: Any) -> SplineKan:
-    return SplineKan(_parse_layers(payload, _parse_spline))
+    return SplineKan(_parse_layers(payload, PolySegmentSpline, _spline_fields))
 
 
 def _parse_monomial(payload: Any) -> MonomialReluNetwork:

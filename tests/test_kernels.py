@@ -6,10 +6,12 @@ in ascending index order.  The kernels skip zero weights, sum each distinct
 row of a layer once, take a negated row's sum as ``0.0 - s`` and skip
 constant-zero activations, which must not change a single output bit,
 including on infinite and NaN inputs.  The compiled kernels, the generated
-straight-line functions a layer switches to after ``KERNEL_AFTER`` finite
-applies, are checked against the same loops, and so is their tiering.
+straight-line functions a network switches to after ``KERNEL_AFTER`` finite
+evaluations, one per layer, are checked against the same loops, and so is
+their tiering.
 """
 import copy
+import dataclasses
 import gc
 import math
 import pickle
@@ -72,12 +74,11 @@ def bits(values):
 def dense_apply(layer, x):
     v = tuple(float(t) for t in x)
     out = []
-    for q in range(layer.n_out):
-        row = layer.weight[q]
+    for row, bias in zip(layer.weight, layer.bias):
         acc = 0.0
-        for p in range(layer.n_in):
-            acc += row[p] * v[p]
-        acc += layer.bias[q]
+        for w, t in zip(row, v):
+            acc += w * t
+        acc += bias
         if layer.activation is Activation.RELU:
             acc = acc if acc > 0.0 else 0.0
         out.append(acc)
@@ -197,7 +198,7 @@ class TestMlpLayerApply:
         for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0), (INF, 0.0, 1.0)]:
             assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
         for x in [(0.1, 0.2, 0.3), (-0.0, 1e308, -1e308), (1e-320, -0.0, 0.0)]:
-            assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
+            check_kernel(layer, x)
 
     def test_negated_rows_share_one_sum(self):
         # sums that are exactly zero, overflow to ±inf or are subnormal
@@ -227,7 +228,7 @@ class TestMlpLayerApply:
             layer = MlpLayer(weight, bias, activation)
             for x in inputs:
                 assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
-                assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
+                check_kernel(layer, x)
             forms = [list(zip(x, reversed(x))) for x in inputs]
             assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
         layer = MlpLayer(weight, bias, Activation.IDENTITY)
@@ -510,7 +511,7 @@ class TestSplineKanEvaluate:
 
 def compiled(layer):
     """``layer``'s kernel, compiled now, whatever its call count or size."""
-    return core._build_kernel(layer._kernel_lines())
+    return core._build_kernel(layer.n_in, layer._kernel_lines())
 
 
 def pl_dense_apply(layer, x):
@@ -524,8 +525,45 @@ def dense_chain(net, x):
     return x
 
 
+_HALF = sys.float_info.max / 2
+
+
+def check_kernel(layer, x, kernel=None):
+    """``layer``'s ``kernel``, by default compiled now whatever its call
+    count or size, at the finite input ``x`` against the dense loop.
+
+    The kernel gives the loop's bits when they are all finite and None
+    otherwise, so a kernel after it only ever gets finite inputs.  An MLP
+    kernel whose every ``|bias|`` is at most half the float range tests its
+    row sums instead, so it gives None exactly when a dense row sum, before
+    the bias, lies outside ``±max/2``.
+    """
+    got = (kernel or compiled(layer))(*x)
+    if isinstance(layer, MlpLayer):
+        want = dense_apply(layer, x)
+        if all(abs(b) <= _HALF for b in layer.bias):
+            sums = dense_apply(MlpLayer(layer.weight, (0.0,) * layer.n_out, Activation.IDENTITY), x)
+            rejected = not all(-_HALF <= s <= _HALF for s in sums)
+        else:
+            rejected = not all(map(math.isfinite, want))
+    else:
+        want = pl_dense_apply(layer, x)
+        rejected = not all(map(math.isfinite, want))
+    if rejected:
+        assert got is None
+    else:
+        assert got is not None and bits(got) == bits(want)
+        assert all(map(math.isfinite, got))
+    return got
+
+
+def kernels(net):
+    """The kernel per layer ``net`` decided on, or False when it compiled none."""
+    return vars(net)["_kernels"]
+
+
 def apply_until_compiled(net, x):
-    """Evaluate ``net`` at ``x`` ``KERNEL_AFTER`` times, so every layer has decided."""
+    """Evaluate ``net`` at ``x`` ``KERNEL_AFTER`` times, so it has decided."""
     for _ in range(core.KERNEL_AFTER):
         out = net.evaluate(x)
     return out
@@ -547,7 +585,7 @@ class TestCompiledKernels:
         # ±0.0 weights and biases, zero rows, r / -r pairs, repeated rows and
         # 3-decimal weights; any finite input, also one whose sum overflows
         layer, x = case
-        assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
+        check_kernel(layer, x)
 
     def test_long_rows_are_summed_in_chunks_left_to_right(self):
         rng = random.Random(4)
@@ -561,7 +599,7 @@ class TestCompiledKernels:
         assert sum(line.startswith("s0 = s0 + ") for line in lines) == 3
         for _ in range(20):
             x = tuple(rng.uniform(-1e3, 1e3) for _ in range(n_in))
-            assert bits(compiled(layer)(x)) == bits(dense_apply(layer, x))
+            assert check_kernel(layer, x) is not None
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -577,7 +615,7 @@ class TestCompiledKernels:
                 {b for row in layer.activations for b in row[p].breakpoints})) else _FINITE)
             for p in range(n_in)
         )
-        assert outcome(compiled(layer), x) == outcome(pl_dense_apply, layer, x)
+        check_kernel(layer, x)
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(list(ConversionMode)))
     @settings(max_examples=30, deadline=None)
@@ -589,9 +627,8 @@ class TestCompiledKernels:
         for net, reference in ((kan, pl_dense_apply), (mlp, dense_apply), (mlp_to_kan(mlp), pl_dense_apply)):
             v = x
             for layer in net.layers:
-                want = reference(layer, v)
-                assert bits(compiled(layer)(v)) == bits(want)
-                v = want
+                assert check_kernel(layer, v) is not None
+                v = reference(layer, v)
 
     def test_overflowing_output_takes_the_loop_in_the_next_layer(self):
         # finite inputs give finite sums in layer 0, whose outputs overflow
@@ -599,7 +636,7 @@ class TestCompiledKernels:
         zero = MlpLayer(((0.0, 1.0), (-0.0, -1.0), (2.0, 0.0)), (0.0, 1.0, -0.0), Activation.IDENTITY)
         mlp = Mlp((big, zero))
         apply_until_compiled(mlp, (0.25, 0.5))
-        assert all(vars(layer)["_kernel"] for layer in mlp.layers)
+        assert all(kernel.__name__ == "kernel" for kernel in kernels(mlp))
         for x in [(1.0, 1.0), (1e308, 0.0), (0.25, 0.5)]:
             assert bits(mlp.evaluate(x)) == bits(dense_chain(mlp, x))
         # 0.0 * inf is NaN in the loop; a kernel skipping the zeros would give 0.0 and 1.0
@@ -607,7 +644,7 @@ class TestCompiledKernels:
         grow = KanLayer(((PiecewiseLinear((), (1e308,), 0.0), PiecewiseLinear((), (1e308,), 0.0)),))
         kan = Kan((grow, KanLayer(((_RELUS[PiecewiseLinear],),))))
         apply_until_compiled(kan, (0.5, 0.25))
-        assert all(vars(layer)["_kernel"] for layer in kan.layers)
+        assert all(kernel.__name__ == "kernel" for kernel in kernels(kan))
         with pytest.raises(DomainError, match="inf"):
             kan.evaluate((1.0, 1.0))
 
@@ -618,19 +655,96 @@ class TestCompiledKernels:
         mlp = kan_to_mlp(kan, ConversionMode.EXACT)
         for net in (kan, mlp):
             apply_until_compiled(net, (0.5, -0.25))
-            assert all(vars(layer)["_kernel"] for layer in net.layers)
+            assert all(kernel.__name__ == "kernel" for kernel in kernels(net))
         with pytest.raises(DomainError):
             kan.evaluate(x)
         assert bits(mlp.evaluate(x)) == bits(dense_chain(mlp, x))
         # no ReLU after the last layer: the NaN of 0.0 * inf shows
         last = Mlp((MlpLayer(((0.0, 1.0), (1.0, -0.0), (0.5, 0.5)), (0.0, -0.0, 1.0), Activation.IDENTITY),))
         apply_until_compiled(last, (0.5, -0.25))
-        assert callable(vars(last.layers[0])["_kernel"])
+        assert callable(kernels(last)[0])
         got = last.evaluate(x)
         assert bits(got) == bits(dense_chain(last, x))
         assert [math.isnan(got[0]), math.isnan(got[1])] == [
             not math.isfinite(x[0]), not math.isfinite(x[1]) or math.isnan(x[0])
         ]
+
+    def test_mlp_hidden_overflow_reruns_through_the_loops(self):
+        # layer 0 row 0: a sum past max/2 under small biases, so its kernel
+        # gives None even where the output is finite; layer 1: a bias past
+        # max/2, so its kernel tests each output; layer 2 reads every column
+        # with a zero weight somewhere, which is NaN at inf in the loop
+        sums = MlpLayer(((1e308, 0.0), (0.0, 1.0), (-1e308, 0.0)), (-8e307, 0.0, 8e307), Activation.RELU)
+        biased = MlpLayer(((1.0, 0.0, 0.0), (0.0, 1e308, 0.0), (0.0, 0.0, 1.0)), (1.5e308, 0.0, -1.5e308),
+                          Activation.RELU)
+        assert [all(abs(b) <= _HALF for b in layer.bias) for layer in (sums, biased)] == [True, False]
+        last = MlpLayer(((0.0, 1.0, 0.0), (1.0, 0.0, -0.0), (-0.0, 0.0, 2.0)), (0.0, 0.5, -0.0), Activation.IDENTITY)
+        mlp = Mlp((sums, MlpLayer(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), (0.0, 0.0, 0.0),
+                                  Activation.RELU), biased, last))
+        points = [(0.25, 0.5), (1.0, 0.5), (0.5, 1.0), (0.5, 2.0), (-1.0, 2.0), (0.9, -3.0), (0.1, 1e-300)]
+        want = [bits(dense_chain(mlp, x)) for x in points]
+        apply_until_compiled(mlp, points[0])
+        assert all(kernel.__name__ == "kernel" for kernel in kernels(mlp))
+        assert [bits(mlp.evaluate(x)) for x in points] == want
+        for layer, x in ((sums, (1.0, 0.5)), (biased, (5e307, 0.0, 0.0)), (biased, (0.0, 2.0, 0.0))):
+            assert check_kernel(layer, x) is None
+        # the row sum 1e308 is past max/2, but its output 2e307 is finite
+        assert bits(dense_apply(sums, (1.0, 0.5))) == bits((1e308 - 8e307, 0.5, 0.0))
+        # inf in layer 2's output meets a zero weight of layer 3: NaN, as in the loop
+        assert math.isnan(mlp.evaluate((0.5, 2.0))[1])
+
+    def test_kan_intermediate_overflow_still_raises(self):
+        # two finite activations whose sum overflows feed a layer whose
+        # only activation at that column is zero: the loop visits it at inf
+        # and raises, where a kernel skipping it would give a number
+        grow = KanLayer(((PiecewiseLinear((), (1e308,), 0.0), PiecewiseLinear((), (1e308,), 0.0)),
+                         (_RELUS[PiecewiseLinear], _ZERO_PLS[0])))
+        read = KanLayer(((_ZERO_PLS[1], _RELUS[PiecewiseLinear]),))
+        kan = Kan((grow, read))
+        assert read.live_columns == ((1,),)
+        apply_until_compiled(kan, (0.5, 0.25))
+        assert all(kernel.__name__ == "kernel" for kernel in kernels(kan))
+        assert check_kernel(grow, (1.0, 1.0)) is None
+        for x in [(1.0, 1.0), (-1.0, -0.9)]:
+            with pytest.raises(DomainError, match="inf"):
+                full_grid_evaluate(kan, x)
+            with pytest.raises(DomainError, match="inf"):
+                kan.evaluate(x)
+        assert bits(kan.evaluate((0.5, -0.5))) == bits(dense_chain(kan, (0.5, -0.5)))
+
+    def test_many_kinks_nest_in_chunks(self):
+        rng = random.Random(10)
+        breakpoints = sorted(rng.sample(range(-10**6, 10**6), 250))
+        act = PiecewiseLinear(tuple(b / 1000 for b in breakpoints),
+                              tuple(round(rng.uniform(-3.0, 3.0), 3) for _ in range(251)), 0.5)
+        layer = KanLayer(((act, _RELUS[PiecewiseLinear]),))
+        lines = layer._kernel_lines()
+        # 250 tests in chunks of _KERNEL_NEST, each chunk's first at the top level
+        assert max(len(line) - len(line.lstrip(" ")) for line in lines) == core._KERNEL_NEST
+        chunks = -(-250 // core._KERNEL_NEST)
+        assert sum(line.startswith("if ") and line.endswith("<= x0:") for line in lines) == chunks
+        kan = Kan((layer,))
+        apply_until_compiled(kan, (0.0, 0.0))
+        assert callable(kernels(kan)[0])
+        points = [x for b in act.breakpoints for x in (math.nextafter(b, -INF), b, math.nextafter(b, INF))]
+        kernel = kernels(kan)[0]
+        for x in points + [-1e4, 1e4, -0.0]:
+            assert check_kernel(layer, (x, x), kernel) is not None
+            assert bits(kan.evaluate((x, -x))) == bits(dense_chain(kan, (x, -x)))
+
+    def test_a_wide_layer_takes_its_inputs_as_arguments(self):
+        rng = random.Random(11)
+        n_in = 300
+        mlp_layer = MlpLayer([[rng.choice([0.0, round(rng.uniform(-1.0, 1.0), 3)]) for _ in range(n_in)]
+                              for _ in range(3)], (0.5, -0.0, 1.0), Activation.IDENTITY)
+        kan_layer = KanLayer((tuple(random_pl(rng, segments=3) for _ in range(n_in)),))
+        points = [tuple(rng.uniform(-4.0, 4.0) for _ in range(n_in)) for _ in range(3)]
+        for net in (Mlp((mlp_layer,)), Kan((kan_layer,))):
+            apply_until_compiled(net, points[0])
+            assert callable(kernels(net)[0])
+            for x in points:
+                assert check_kernel(net.layers[0], x) is not None
+                assert bits(net.evaluate(x)) == bits(dense_chain(net, x))
 
 
 def _square_kan(width, depth, segments, rng):
@@ -646,30 +760,30 @@ class TestTiering:
         kan = _square_kan(8, 3, 8, random.Random(1))
         for net in (kan, kan_to_mlp(kan, ConversionMode.EXACT), kan_to_mlp(kan, ConversionMode.PAPER)):
             net.evaluate((0.5,) * 8)
-            assert [vars(layer).get("_calls") for layer in net.layers] == [1] * len(net.layers)
-            assert not any("_kernel" in vars(layer) for layer in net.layers)
+            assert vars(net)["_calls"] == 1 and "_kernels" not in vars(net)
+            assert not any("_kernel" in name for layer in net.layers for name in vars(layer))
 
     @pytest.mark.parametrize("kind", ["mlp", "kan"])
     def test_the_kernel_comes_at_the_threshold(self, kind):
-        kan = random_kan(random.Random(2), input_dim=2, output_dim=1, max_width=3, max_depth=1)
-        layer = (kan_to_mlp(kan, ConversionMode.EXACT) if kind == "mlp" else kan).layers[0]
+        kan = random_kan(random.Random(2), input_dim=2, output_dim=1, max_width=3, max_depth=2)
+        net = kan_to_mlp(kan, ConversionMode.EXACT) if kind == "mlp" else kan
         x = (0.25, -1.5)
-        want = bits(layer.apply(x))
-        # non-finite applies are not counted
-        for bad in [(INF, 0.0), (NAN, 0.0)]:
+        want = bits(net.evaluate(x))
+        # non-finite evaluations are not counted
+        for bad in [(INF, 0.0), (NAN, 0.0), (1e308, 1e308)]:
             try:
-                layer.apply(bad)
+                net.evaluate(bad)
             except DomainError:
                 pass
-        assert vars(layer)["_calls"] == 1
+        assert vars(net)["_calls"] == 1
         for _ in range(core.KERNEL_AFTER - 2):
-            assert bits(layer.apply(x)) == want
-        assert vars(layer)["_calls"] == core.KERNEL_AFTER - 1 and "_kernel" not in vars(layer)
+            assert bits(net.evaluate(x)) == want
+        assert vars(net)["_calls"] == core.KERNEL_AFTER - 1 and "_kernels" not in vars(net)
         with mock.patch.object(core, "_build_kernel", wraps=core._build_kernel) as build:
-            assert bits(layer.apply(x)) == want
-            assert bits(layer.apply(x)) == want
-        build.assert_called_once()
-        assert callable(vars(layer)["_kernel"])
+            assert bits(net.evaluate(x)) == want
+            assert bits(net.evaluate(x)) == want
+        assert build.call_count == len(net.layers)
+        assert all(kernel.__name__ == "kernel" for kernel in kernels(net))
 
     def test_a_layer_over_the_ceiling_never_compiles(self):
         rng = random.Random(3)
@@ -679,12 +793,28 @@ class TestTiering:
                          [rng.uniform(-1.0, 1.0) for _ in range(n_out)], Activation.IDENTITY)
         assert layer._kernel_units == n_in * n_out + n_out
         x = tuple(rng.uniform(-1.0, 1.0) for _ in range(n_in))
+        alone = Mlp((layer,))
         with mock.patch.object(core, "_build_kernel", wraps=core._build_kernel) as build:
             for _ in range(core.KERNEL_AFTER + 1):
-                out = layer.apply(x)
+                out = alone.evaluate(x)
         build.assert_not_called()
-        assert vars(layer)["_kernel"] is False
+        assert kernels(alone) is False
         assert bits(out) == bits(dense_apply(layer, x))
+        # beside a small layer, the big one runs its loop in its kernel's
+        # place; its output 0 overflows where every input is positive, and
+        # the small layer's zero weights on it give NaN in the loop
+        relu = dataclasses.replace(layer, weight=((1e308,) * n_in,) + layer.weight[1:], activation=Activation.RELU)
+        small = MlpLayer([[0.0] + [rng.uniform(-1.0, 1.0) for _ in range(n_out - 1)] for _ in range(2)],
+                         [0.5, -0.5], Activation.IDENTITY)
+        mixed = Mlp((relu, small))
+        with mock.patch.object(core, "_build_kernel", wraps=core._build_kernel) as build:
+            apply_until_compiled(mixed, x)
+        build.assert_called_once_with(n_out, mock.ANY)
+        assert [kernel.__name__ for kernel in kernels(mixed)] == ["loop", "kernel"]
+        positive = tuple(abs(t) for t in x)
+        for y in [x, tuple(-t for t in x), positive, tuple(t * 1e307 for t in x)]:
+            assert bits(mixed.evaluate(y)) == bits(dense_chain(mixed, y))
+        assert all(map(math.isnan, mixed.evaluate(positive)))
 
     def test_the_ceiling_falls_between_conversions(self):
         # every layer of a 16/3/8 exact conversion fits; a round-tripped
@@ -698,7 +828,32 @@ class TestTiering:
         spline = SplineKan((KanLayer(((_RELUS[PolySegmentSpline],),)),))
         assert spline.layers[0]._kernel_units is None
         apply_until_compiled(spline, (0.5,))
-        assert vars(spline.layers[0])["_kernel"] is False
+        assert kernels(spline) is False
+
+    def test_a_round_tripped_network_compiles_its_small_layers(self):
+        # kan_to_mlp(mlp_to_kan(M)) of a 4/3/6 KAN's exact MLP M
+        mlp = kan_to_mlp(_square_kan(4, 3, 6, random.Random(12)), ConversionMode.EXACT)
+        assert mlp.widths == (4, 88, 88, 88, 4)
+        net = kan_to_mlp(mlp_to_kan(mlp), ConversionMode.EXACT)
+        assert net.widths == (4, 8, 7920, 7920, 528, 4)
+        fits = [layer._kernel_units <= core.KERNEL_MAX_UNITS for layer in net.layers]
+        assert fits[0] and fits[-1] and not all(fits)
+        x = (0.5, -1.25, 2.0, 0.75)
+        apply_until_compiled(net, x)
+        assert [kernel.__name__ for kernel in kernels(net)] == ["kernel" if fit else "loop" for fit in fits]
+        assert bits(net.evaluate(x)) == bits(dense_chain(net, x))
+
+    def test_each_compile_holds_one_layer(self):
+        kan = random_kan(random.Random(13), input_dim=2, output_dim=2, max_width=3, max_depth=3)
+        for net in (kan, kan_to_mlp(kan, ConversionMode.EXACT)):
+            with mock.patch.object(core, "compile", create=True, wraps=compile) as calls:
+                apply_until_compiled(net, (0.5, -0.25))
+            sources = [call.args[0] for call in calls.call_args_list]
+            assert len(sources) == len(net.layers)
+            for layer, source in zip(net.layers, sources):
+                assert source.count("def ") == 1
+                assert source.startswith("def kernel(" + ", ".join(f"x{p}" for p in range(layer.n_in)) + "):")
+                assert source.rstrip().endswith(f"{layer.n_out - 1}, )")
 
     def test_compiled_models_pickle_and_copy(self):
         kan = random_kan(random.Random(7), input_dim=2, output_dim=2, max_width=3, max_depth=2)
@@ -710,19 +865,20 @@ class TestTiering:
             for copied in (pickle.loads(pickle.dumps(net)), copy.deepcopy(net)):
                 assert copied == net and repr(copied) == repr(net)
                 # a copy counts afresh
-                assert not any("_kernel" in vars(layer) or "_calls" in vars(layer) for layer in copied.layers)
+                assert "_kernels" not in vars(copied) and "_calls" not in vars(copied)
                 assert [bits(copied.evaluate(x)) for x in points] == want
+                assert vars(copied)["_calls"] == len(points)
             assert [bits(net.evaluate(x)) for x in points] == want
 
-    def test_a_kernel_is_freed_with_its_layer(self):
+    def test_a_kernel_is_freed_with_its_network(self):
         layer = KanLayer(((_RELUS[PiecewiseLinear], PiecewiseLinear((1.0,), (2.0, -1.0), 0.5)),))
-        for _ in range(core.KERNEL_AFTER):
-            layer.apply((0.5, 2.0))
-        kernel = weakref.ref(vars(layer)["_kernel"])
+        kan = Kan((layer,))
+        apply_until_compiled(kan, (0.5, 2.0))
+        kernel = weakref.ref(kernels(kan)[0])
         assert kernel().__globals__ == {"__builtins__": {}, "inf": INF}
         gc.disable()
         try:
-            del layer
+            del kan
             assert kernel() is None
         finally:
             gc.enable()
@@ -752,5 +908,4 @@ class TestTiering:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert failures == []
-        assert all(callable(vars(layer)["_kernel"]) for net in nets for layer in net.layers)
-
+        assert all(kernel.__name__ == "kernel" for net in nets for kernel in kernels(net))

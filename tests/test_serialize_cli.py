@@ -28,6 +28,7 @@ from kanrelu import (
     MlpLayer,
     ParseError,
     PiecewiseLinear,
+    PolySegmentSpline,
     SplineKan,
     ValidationError,
     assert_equiv,
@@ -993,6 +994,91 @@ def _assert_rejected(error, text, message, tmp_path):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def _kan_doc(grid):
+    """A one-layer KAN document whose activation grid is ``grid``."""
+    return {"kind": "kan", "version": "1", "metadata": {}, "payload": {"layers": [
+        {"n_in": len(grid[0]), "n_out": len(grid), "activations": grid},
+    ]}}
+
+
+def _pl_doc(breakpoints, slopes, intercept):
+    return {"breakpoints": breakpoints, "slopes": slopes, "intercept": intercept}
+
+
+class TestSharedActivations:
+    def test_bit_equal_cells_share_one_object(self):
+        relu = _pl_doc([0.0], [0.0, 1.0], 0.0)
+        grid = [
+            [relu, _pl_doc([0], [0, 1], 0), _pl_doc([0.0], [0.0, 1.0], -0.0), _pl_doc([-0.0], [0.0, 1.0], 0.0)],
+            [_pl_doc([0.0], [-0.0, 1.0], 0.0), dict(relu), _pl_doc([-0.0], [0.0, 1.0], 0.0), _pl_doc([], [1.0], 0.5)],
+        ]
+        loaded = loads_model(json.dumps(_kan_doc(grid)))  # json.dumps writes -0.0 as "-0.0"
+        cells = loaded.layers[0].activations
+        # the integers read as floats, so they match the first cell
+        assert cells[0][0] is cells[0][1] is cells[1][1]
+        assert cells[0][3] is cells[1][2]
+        signed = [cells[0][0], cells[0][2], cells[0][3], cells[1][0], cells[1][3]]
+        assert len({id(act) for act in signed}) == len(signed)
+        by_cell = Kan((KanLayer(tuple(
+            tuple(PiecewiseLinear(tuple(map(float, c["breakpoints"])), tuple(map(float, c["slopes"])),
+                                  float(c["intercept"])) for c in row)
+            for row in grid
+        )),))
+        assert repr(loaded) == repr(by_cell)
+        assert dumps_model(loaded) == dumps_model(by_cell)
+
+    def test_spline_cells_share_by_bits_degree_and_shape(self):
+        def spline(breakpoints, pieces, degree):
+            return {"breakpoints": breakpoints, "pieces": pieces, "degree": degree}
+
+        grid = [[
+            spline([], [[1.0, 2.0]], 1), spline([], [[1.0, 2.0]], 1), spline([], [[1.0, 2.0]], 2),
+            spline([], [[1.0, -0.0]], 1), spline([0.5], [[1.0], [1.0]], 1), spline([], [[1.0, 2.0]], 1),
+        ]]
+        doc = _kan_doc(grid)
+        doc["kind"] = "bspline_kan"
+        loaded = loads_model(json.dumps(doc))
+        cells = loaded.layers[0].activations[0]
+        assert cells[0] is cells[1] is cells[5]
+        assert len({id(act) for act in cells}) == 4
+        by_cell = SplineKan((KanLayer((tuple(
+            PolySegmentSpline(tuple(c["breakpoints"]), tuple(map(tuple, c["pieces"])), c["degree"]) for c in grid[0]
+        ),)),))
+        assert repr(loaded) == repr(by_cell)
+        assert dumps_model(loaded) == dumps_model(by_cell)
+
+    def test_a_bad_cell_is_never_shared(self):
+        good = _pl_doc([1.0], [2.0, 3.0], 0.0)
+        # the same floats split otherwise: three slopes for one breakpoint too few
+        for bad, error, message in [
+            (_pl_doc([1.0, 2.0], [3.0], 0.0), ValidationError, "slopes length"),
+            (_pl_doc([1.0], [2.0, 3.0], True), ParseError, r"activations\[0\]\[1\]\.intercept"),
+            (_pl_doc([1.0], [2.0, True], 0.0), ParseError, r"activations\[0\]\[1\]\.slopes\[1\]"),
+        ]:
+            with pytest.raises(error, match=message):
+                loads_model(json.dumps(_kan_doc([[good, bad, good], [good, good, good]])))
+        # the first bad cell in grid order is the one named
+        doc = _kan_doc([[good, good], [_pl_doc([1.0], [2.0, "3"], 0.0), _pl_doc([1.0], [True, 3.0], 0.0)]])
+        with pytest.raises(ParseError, match=r"activations\[1\]\[0\]\.slopes\[1\]"):
+            loads_model(json.dumps(doc))
+
+    def test_round_tripped_kan_loads_one_object_per_distinct_activation(self, tmp_path):
+        back = mlp_to_kan(kan_to_mlp(_kan_of_widths(random.Random(17), (3, 3, 3), 4), ConversionMode.EXACT))
+        path = tmp_path / "back.json"
+        save(back, path)
+        loaded = load(path)
+        assert loaded == back
+
+        def bits(act):  # float.hex tells -0.0 from 0.0
+            return len(act.breakpoints), tuple(map(float.hex, (*act.breakpoints, *act.slopes, act.intercept)))
+
+        cells = [act for layer in loaded.layers for row in layer.activations for act in row]
+        assert len({id(act) for act in cells}) == len(set(map(bits, cells))) < len(cells) // 4
+        again = tmp_path / "again.json"
+        save(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
 class TestValidationOnLoad:
     def test_mlp_with_relu_output_rejected(self):
         text = dumps_model(load(FIXTURES / "abs_mlp.json"))
@@ -1556,7 +1642,8 @@ class TestCliExitCodes:
 
     def test_overflowing_slope_change_is_reported_once_compiled(self, tmp_path):
         # finite slopes whose change is inf: NaN at the breakpoint, inf past it,
-        # also once the layer is compiled into a kernel after KERNEL_AFTER points
+        # also once the network compiles its layer into a kernel after
+        # KERNEL_AFTER points
         kan = Kan((KanLayer(((PiecewiseLinear((0.0,), (-1e308, 1e308)),),)),))
         save(kan, tmp_path / "k.json")
         code, out, err = run_cli(["verify", tmp_path / "k.json", tmp_path / "k.json",
