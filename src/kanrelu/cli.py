@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .regions import _grid_box, exact_regions_1d, grid_fingerprint_2d
-from .serialize import dumps_canonical, load, save, save_canonical
+from .serialize import _int_text, dumps_canonical, load, save, save_canonical
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -100,7 +100,7 @@ def _print_report(doc: dict, as_json: bool) -> None:
         sys.stdout.write(dumps_canonical(doc))
     else:
         for key, value in doc.items():
-            print(f"{key}: {value}")
+            print(f"{key}: {_int_text(value) if type(value) is int else value}")
 
 
 def _load(path, command: str, kinds: tuple[type, ...] = (Kan, Mlp)) -> Kan | Mlp:

@@ -219,10 +219,14 @@ def _apply_relu(cuts: list[float], forms: list[Forms]) -> tuple[list[float], lis
 def _normalize(cuts: list[float], forms: list[Forms]) -> tuple[list[float], list[Forms]]:
     out_cuts: list[float] = []
     out_forms = [forms[0]]
-    for cut, form in zip(cuts, forms[1:]):
+    # a merged piece keeps its first form up to the next cut, so that form
+    # must meet the next piece there as ``form`` does: slopes within
+    # PIECE_MERGE_TOL drift apart far from the origin
+    for cut, form, end in zip(cuts, forms[1:], chain(cuts[1:], [None])):
         prev = out_forms[-1]
         same = all(
             _close(a1, a2, PIECE_MERGE_TOL) and _close(b1, b2, PIECE_MERGE_TOL)
+            and (end is None or _close(a1 * end + b1, a2 * end + b2, CONTINUITY_TOL))
             for (a1, b1), (a2, b2) in zip(prev, form)
         )
         if same:

@@ -10,15 +10,17 @@ loop.  A weight or tag matrix is read by a row lookup: a row whose text was
 already read in that matrix gets the earlier list again, not parsed anew.
 Once the rows are taken not to repeat (see ``_Reader.row_reader``), the
 rest of the matrix goes to the C scanner of ``json`` in batches, as a
-sparse file's triplets do.  A converted MLP's hidden rows repeat a few
-distinct rows, so its file loads in a fraction of the time and memory of
-``json.loads``.  ``load`` reads a regular file in chunks of ``_CHUNK``
-characters and never holds its whole text.  Text the reader cannot read is
-decoded again, whole, by ``json.loads``, which words the error.
+sparse file's triplets do.  ``load`` reads a regular file in chunks of
+``_CHUNK`` characters and never holds its whole text.  Text the reader
+cannot read is decoded again, whole, by ``json.loads``, which words the
+error.  Weight rows, tag rows and KAN cells then become model objects by
+one sharing rule, ``_shared``, so a converted model's file loads in a
+fraction of the time and memory of ``json.loads``.
 """
 from __future__ import annotations
 
 import contextlib
+import decimal
 import json
 import math
 import os
@@ -45,6 +47,14 @@ def _fmt_number(v: float) -> str:
     if v == 0.0:
         return "0"  # canonical form: negative zero reloads as plain zero
     return format(v, ".17g")
+
+
+def _int_text(n: int) -> str:
+    """The digits of ``n``, also past the 4,300 to which ``str`` is limited, as ``Decimal`` is not."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 _CONTAINERS = (dict, list, tuple)
@@ -92,7 +102,7 @@ class _CanonicalEncoder:
         if value is False:
             return "false"
         if isinstance(value, int):
-            return str(value)
+            return _int_text(value)
         if isinstance(value, float):
             return _fmt_number(value)
         if isinstance(value, str):
@@ -106,7 +116,7 @@ class _CanonicalEncoder:
         if kinds == _STR:
             return self.quoted.__getitem__
         if kinds == _INT:
-            return int.__repr__
+            return _int_text
         if kinds.isdisjoint(_CONTAINERS) and not any(issubclass(k, _CONTAINERS) for k in kinds):
             return self.scalar
         return None
@@ -215,11 +225,11 @@ class _CanonicalEncoder:
             fmt = self.formatter(set(map(type, map(column, value))))
             if fmt is None:
                 return False
-            if fmt is _fmt_number:
-                # the values of a sparse file's weight column repeat row after row
+            if fmt is _fmt_number or fmt is _int_text:
+                # the values of a sparse file's index and weight columns repeat row after row
                 distinct = set(map(column, value))
                 if 2 * len(distinct) <= len(value):
-                    fmt = dict(zip(distinct, map(_fmt_number, distinct))).__getitem__
+                    fmt = dict(zip(distinct, map(fmt, distinct))).__getitem__
             formats.append(fmt)
         inner = "  " * (indent + 1)
         item = "  " * (indent + 2)
@@ -345,20 +355,21 @@ def _mlp_layer_to_dict(layer: MlpLayer, sparse: bool) -> dict:
 def model_to_dict(model, sparse: bool = False) -> dict:
     if isinstance(model, (Kan, SplineKan)):
         kind, act_to_dict = ("kan", _pl_to_dict) if isinstance(model, Kan) else ("bspline_kan", _spline_to_dict)
-        # one dict per distinct activation object; the model keeps the ids live
+        # one dict per distinct activation object, made the first time it is
+        # met; the model keeps the ids live
         act_docs: dict[int, dict] = {}
-        for layer in model.layers:
-            for row in layer.activations:
-                for act in row:
-                    if id(act) not in act_docs:
-                        act_docs[id(act)] = act_to_dict(act)
+
+        def act_row(row) -> list[dict]:
+            docs = list(map(act_docs.get, map(id, row)))
+            if None in docs:  # an activation met for the first time, here or earlier in this row
+                for p in compress(range(len(row)), map(is_, docs, repeat(None))):
+                    act = row[p]
+                    docs[p] = act_docs.get(id(act)) or act_docs.setdefault(id(act), act_to_dict(act))
+            return docs
+
         payload = {
             "layers": [
-                {
-                    "n_in": layer.n_in,
-                    "n_out": layer.n_out,
-                    "activations": [[act_docs[id(act)] for act in row] for row in layer.activations],
-                }
+                {"n_in": layer.n_in, "n_out": layer.n_out, "activations": list(map(act_row, layer.activations))}
                 for layer in model.layers
             ]
         }
@@ -440,45 +451,47 @@ def _floats(values: Any, where: str) -> tuple[float, ...]:
     return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(values))
 
 
-def _each_row_once(values: Iterable, convert: Callable[[int, Any], Any]) -> tuple:
-    """``convert(i, row)`` for each row of ``values``, called once per run of one row object.
+_Read = Callable[[Any, str], tuple[Any, Callable[[], Any]]]  # an item's key and builder, for _shared
 
-    The reader hands out one list per distinct row text, and a converted
-    layer's repeated rows come in runs (the breakpoint units of one
-    activation read one input), so each run is converted once.
+
+def _shared(items: Iterable, where: str, read: _Read, kept: dict) -> tuple:
+    """The object each of ``items`` loads as: items equal bit for bit share one.
+
+    ``read(item, f"{where}[{i}]")`` checks an item, once per run of one item
+    object (the reader hands out one list per distinct row text), and returns
+    its key, equal for two items exactly when they are equal bit for bit
+    (None: never shared), and a function that builds its object.  Only an
+    object that builds goes into ``kept``, so an error names the first bad item.
     """
     out = []
     last = shared = None
-    for i, row in enumerate(values):
-        if row is not last:
-            shared = convert(i, row)
-            last = row
+    for i, item in enumerate(items):
+        if item is not last:
+            key, build = read(item, f"{where}[{i}]")
+            shared = kept.get(key)
+            if shared is None:
+                shared = build()
+                if key is not None:
+                    kept[key] = shared
+            last = item
         out.append(shared)
     return tuple(out)
 
 
-def _matrix(values: Iterable, where: str) -> tuple[tuple[float, ...], ...]:
-    """Rows of floats, each distinct row one shared tuple.
+def _bits(values) -> bytes:
+    """The bytes of the doubles ``values``: equal exactly when the values are equal bit for bit."""
+    return struct.pack(f"{len(values)}d", *values)
 
-    Rows are keyed by the bytes of their doubles, so -0.0 stays apart from
-    0.0, and a row's float tuple is built only the first time it is seen.
-    """
-    rows: dict[bytes, tuple[float, ...]] = {}
 
-    def convert(i: int, row: Any) -> tuple[float, ...]:
-        try:
-            if type(row) is not list or not _NUMBER.issuperset(map(type, row)):  # bool is not a number here
-                raise TypeError
-            key = struct.pack(f"{len(row)}d", *row)
-        except (TypeError, struct.error):  # struct.error: an integer beyond the float range
-            _floats(row, f"{where}[{i}]")  # raises, naming the entry
-            raise
-        shared = rows.get(key)
-        if shared is None:
-            shared = rows[key] = tuple(map(float, row))  # keeps the parsed float objects
-        return shared
-
-    return _each_row_once(values, convert)
+def _weight_row(row: Any, where: str) -> tuple[bytes, Callable[[], tuple[float, ...]]]:
+    try:
+        if type(row) is not list or not _NUMBER.issuperset(map(type, row)):  # bool is not a number here
+            raise TypeError
+        key = _bits(row)
+    except (TypeError, struct.error):  # struct.error: an integer beyond the float range
+        _floats(row, where)  # raises, naming the entry
+        raise
+    return key, partial(tuple, map(float, row))  # keeps the parsed float objects
 
 
 def _tags(values: Any, where: str):
@@ -488,48 +501,23 @@ def _tags(values: Any, where: str):
     return tuple(values)
 
 
-def _tag_matrix(values: Iterable, where: str):
-    """Rows of tags, each distinct row one shared tuple."""
-    rows: dict[tuple, tuple] = {}
-
-    def convert(i: int, row: Any) -> tuple:
-        row = _tags(row, f"{where}[{i}]")
-        try:
-            return rows.setdefault(row, row)
-        except TypeError:  # an unhashable tag, which MlpLayer rejects
-            return row
-
-    return _each_row_once(values, convert)
+def _tag_row(row: Any, where: str) -> tuple[tuple | None, Callable[[], tuple]]:
+    row = _tags(row, where)
+    # a row with a tag that is no string, which MlpLayer rejects, is never shared
+    return row if _STR.issuperset(map(type, row)) else None, partial(tuple, row)  # tuple(row) is row
 
 
-def _doubles(shape: Any, *values: float) -> tuple:
-    """A key for the floats ``values`` laid out as ``shape``: two keys are
-    equal when the values are equal bit for bit, so ``-0.0`` stays apart
-    from ``0.0``."""
-    return shape, struct.pack(f"{len(values)}d", *values)
-
-
-def _pl_fields(doc: Any, where: str) -> tuple[Any, tuple]:
+def _pl_fields(doc: Any, where: str) -> tuple[tuple, Callable[[], PiecewiseLinear]]:
     breakpoints = _floats(_need(doc, "breakpoints", list, where), f"{where}.breakpoints")
     slopes = _floats(_need(doc, "slopes", list, where), f"{where}.slopes")
     intercept = _need(doc, "intercept", float, where)
-    return _doubles(len(breakpoints), *breakpoints, *slopes, intercept), (breakpoints, slopes, intercept)
+    key = len(breakpoints), _bits((*breakpoints, *slopes, intercept))
+    return key, partial(PiecewiseLinear, breakpoints, slopes, intercept)
 
 
-def _parse_layers(
-    payload: Any, kind: type, fields: Callable[[Any, str], tuple[Any, tuple]]
-) -> tuple[KanLayer, ...]:
-    """Each KAN layer, built as soon as every entry of its activation grid
-    is read.
-
-    ``fields(doc, where)`` reads an entry's arguments to ``kind`` and a key
-    that is equal for two entries exactly when their arguments are equal
-    bit for bit.  Entries of one key share one ``kind`` object, built at the
-    first of them, so a converted KAN's repeated activations are built
-    once; an entry that does not build is never shared, so an error names
-    the first bad entry in grid order.
-    """
-    shared: dict[Any, Any] = {}
+def _parse_layers(payload: Any, fields: _Read) -> tuple[KanLayer, ...]:
+    """Each KAN layer, its activations read by ``fields`` and shared across the file."""
+    kept: dict[Any, Any] = {}
     layers = []
     for i, layer_doc in enumerate(_need(payload, "layers", list, "payload")):
         where = f"payload.layers[{i}]"
@@ -540,21 +528,14 @@ def _parse_layers(
             not isinstance(row, list) or len(row) != n_in for row in grid_doc
         ):
             raise ParseError(f"{where}.activations: grid must be n_out rows of n_in entries")
-        grid = []
-        for q, row in enumerate(grid_doc):
-            cells = []
-            for p, act in enumerate(row):
-                key, args = fields(act, f"{where}.activations[{q}][{p}]")
-                if (built := shared.get(key)) is None:
-                    built = shared[key] = kind(*args)
-                cells.append(built)
-            grid.append(tuple(cells))
-        layers.append(KanLayer(tuple(grid)))
+        layers.append(KanLayer(tuple(
+            _shared(row, f"{where}.activations[{q}]", fields, kept) for q, row in enumerate(grid_doc)
+        )))
     return tuple(layers)
 
 
 def _parse_kan(payload: Any) -> Kan:
-    return Kan(_parse_layers(payload, PiecewiseLinear, _pl_fields))
+    return Kan(_parse_layers(payload, _pl_fields))
 
 
 def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
@@ -588,19 +569,19 @@ def _parse_mlp_layer(doc: Any, where: str) -> MlpLayer:
         _floats([triplet[2] for triplet in triplets], f"{where}.weight_sparse.triplets")  # names a bad value
 
         def dense_rows(field: int, blank):
-            # one row at a time: _matrix and _tag_matrix keep only its shared tuple
+            # one row at a time: _shared keeps only its shared tuple
             for row in entries:
                 values = [blank] * cols
                 for triplet in row:
                     values[triplet[1]] = triplet[field]
                 yield values
 
-        weight = _matrix(dense_rows(2, 0.0), f"{where}.weight_sparse")
-        weight_tags = _tag_matrix(dense_rows(3, STRUCTURAL), f"{where}.weight_sparse") if tagged else None
+        weight = _shared(dense_rows(2, 0.0), f"{where}.weight_sparse", _weight_row, {})
+        weight_tags = _shared(dense_rows(3, STRUCTURAL), f"{where}.weight_sparse", _tag_row, {}) if tagged else None
     else:
-        weight = _matrix(_need(doc, "weight", list, where), f"{where}.weight")
+        weight = _shared(_need(doc, "weight", list, where), f"{where}.weight", _weight_row, {})
         if "weight_tags" in doc:
-            weight_tags = _tag_matrix(_need(doc, "weight_tags", list, where), f"{where}.weight_tags")
+            weight_tags = _shared(_need(doc, "weight_tags", list, where), f"{where}.weight_tags", _tag_row, {})
     bias = _floats(_need(doc, "bias", list, where), f"{where}.bias")
     bias_tags = _tags(doc["bias_tags"], f"{where}.bias_tags") if "bias_tags" in doc else None
     activation = _need(doc, "activation", str, where)
@@ -628,17 +609,17 @@ def _parse_mlp(payload: Any) -> Mlp:
     )
 
 
-def _spline_fields(doc: Any, where: str) -> tuple[Any, tuple]:
+def _spline_fields(doc: Any, where: str) -> tuple[tuple, Callable[[], PolySegmentSpline]]:
     pieces_doc = _need(doc, "pieces", list, where)
     breakpoints = _floats(_need(doc, "breakpoints", list, where), f"{where}.breakpoints")
     pieces = tuple(_floats(c, f"{where}.pieces[{i}]") for i, c in enumerate(pieces_doc))
     degree = _need(doc, "degree", int, where)
-    key = _doubles((degree, len(breakpoints), *map(len, pieces)), *breakpoints, *chain.from_iterable(pieces))
-    return key, (breakpoints, pieces, degree)
+    key = (degree, len(breakpoints), *map(len, pieces)), _bits((*breakpoints, *chain.from_iterable(pieces)))
+    return key, partial(PolySegmentSpline, breakpoints, pieces, degree)
 
 
 def _parse_spline_kan(payload: Any) -> SplineKan:
-    return SplineKan(_parse_layers(payload, PolySegmentSpline, _spline_fields))
+    return SplineKan(_parse_layers(payload, _spline_fields))
 
 
 def _parse_monomial(payload: Any) -> MonomialReluNetwork:
@@ -648,7 +629,7 @@ def _parse_monomial(payload: Any) -> MonomialReluNetwork:
         where = f"payload.blocks[{i}]"
         blocks.append(
             MonomialReluBlock(
-                weight=_matrix(_need(doc, "weight", list, where), f"{where}.weight"),
+                weight=_shared(_need(doc, "weight", list, where), f"{where}.weight", _weight_row, {}),
                 bias=_floats(_need(doc, "bias", list, where), f"{where}.bias"),
                 degree=_need(doc, "degree", int, where),
             )
@@ -656,7 +637,9 @@ def _parse_monomial(payload: Any) -> MonomialReluNetwork:
     readout = _need(payload, "readout", dict, "payload")
     return MonomialReluNetwork(
         blocks=tuple(blocks),
-        readout_weight=_matrix(_need(readout, "weight", list, "payload.readout"), "payload.readout.weight"),
+        readout_weight=_shared(
+            _need(readout, "weight", list, "payload.readout"), "payload.readout.weight", _weight_row, {}
+        ),
         readout_bias=_floats(_need(readout, "bias", list, "payload.readout"), "payload.readout.bias"),
     )
 

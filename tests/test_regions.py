@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kanrelu import (
+    Activation,
     ConversionMode,
     Kan,
     KanLayer,
+    Mlp,
+    MlpLayer,
     PiecewiseLinear,
     PolySegmentSpline,
     SplineKan,
@@ -148,6 +151,27 @@ class TestExactRegions1D:
         complex_1d = exact_regions_1d(Kan((KanLayer(((act,),)),)))
         assert complex_1d.cut_points == (1.5e308, 1.6e308)
         assert complex_1d.region_count == 3
+
+    def test_slopes_that_cancel_to_rounding_keep_the_complex_continuous(self):
+        # right of 0.2 the last hidden slopes sum to 0 in exact arithmetic but
+        # to about 1e-21 in floats, which puts cuts near 1e15 and 6e17; the
+        # pieces before them, whose slopes differ by 1e-24, were merged into
+        # one that missed the next piece there by 2e-9, and the complex was
+        # rejected as discontinuous
+        relu, zeros = Activation.RELU, (0.0,) * 6
+        mlp = Mlp((
+            MlpLayer(((1.0,), (-1.0,)), (0.0, 0.0), relu),
+            MlpLayer(((0.005, -0.005), (-0.005, 0.005), (0.0, 0.0), (0.0, 0.0), (0.005, -0.005), (0.005, -0.005)),
+                     (0.0, 0.0, 0.0, 0.0, 0.0, -0.001), relu),
+            MlpLayer((zeros, zeros, (-0.001, 0.001, 0.0, 0.0, 0.003, -0.002), (0.001, -0.001, 0.0, 0.0, -0.003, 0.002),
+                      zeros, zeros, (-0.001, 0.001, 0.0, 0.0, 0.003, -0.002), (-0.001, 0.001, 0.0, 0.0, 0.003, -0.002)),
+                     (0.0,) * 6 + (0.001, 0.0), relu),
+            MlpLayer(((0.0, -0.0, -0.001, 0.001, 0.0, -0.0, 0.003, -0.002),), (0.0,), Activation.IDENTITY),
+        ))
+        complex_1d = exact_regions_1d(mlp)
+        assert complex_1d.region_count <= relu_region_upper_bound(1, mlp.hidden_widths)
+        for x in (-3.0, 0.1, 0.3, 7.0):
+            assert complex_1d.evaluate(x)[0] == pytest.approx(mlp.evaluate((x,))[0], rel=1e-9, abs=1e-15)
 
 
 _CUTS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

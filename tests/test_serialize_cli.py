@@ -1,5 +1,6 @@
 """Model files: round trips, validation, CLI exit codes and golden outputs."""
 import contextlib
+import decimal
 import gc
 import io
 import json
@@ -42,6 +43,7 @@ from kanrelu import (
 )
 from kanrelu import serialize
 from kanrelu.cli import main
+from kanrelu.splines import MonomialReluNetwork, bspline_to_monomial_relu
 from kanrelu.serialize import (
     _CanonicalEncoder,
     _encode_canonical,
@@ -378,11 +380,14 @@ class TestCanonicalEncoder:
 
 @st.composite
 def _models(draw):
-    """A PL KAN, a converted MLP (dense or sparse) or a spline KAN, and the sparse flag."""
+    """A PL KAN, a converted MLP (dense or sparse), a spline KAN or a monomial
+    network, and the sparse flag."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["kan", "exact", "paper", "spline"]))
+    kind = draw(st.sampled_from(["kan", "exact", "paper", "spline", "monomial"]))
     if kind == "kan":
         return random_kan(rng), False
+    if kind == "monomial":
+        return bspline_to_monomial_relu(random_spline(rng)), False
     if kind == "spline":
         widths = [rng.randint(1, 3) for _ in range(rng.randint(2, 3))]
         return SplineKan(tuple(
@@ -1079,6 +1084,41 @@ class TestSharedActivations:
         assert again.read_bytes() == path.read_bytes()
 
 
+def _bit_key(item):
+    """A loaded row or cell as a key that tells apart items not equal bit for
+    bit (``float.hex`` tells -0.0 from 0.0); a tag row is its own key."""
+    if isinstance(item, PiecewiseLinear):
+        return len(item.breakpoints), tuple(map(float.hex, (*item.breakpoints, *item.slopes, item.intercept)))
+    if isinstance(item, PolySegmentSpline):
+        return item.degree_bound, tuple(map(float.hex, item.breakpoints)), tuple(
+            tuple(map(float.hex, c)) for c in item.piece_coeffs)
+    return tuple(float.hex(v) if type(v) is float else v for v in item)
+
+
+def _shared_groups(model):
+    """The lists of items a load shares within: each weight and tag matrix, and all cells of a KAN file."""
+    if isinstance(model, Mlp):
+        return [m for layer in model.layers for m in (layer.weight, layer.weight_tags) if m is not None]
+    if isinstance(model, MonomialReluNetwork):
+        return [*(block.weight for block in model.blocks), model.readout_weight]
+    return [[act for layer in model.layers for row in layer.activations for act in row]]
+
+
+class TestSharedLoads:
+    @given(_models())
+    @settings(max_examples=200, deadline=None)
+    def test_items_are_one_object_exactly_when_bit_equal(self, case):
+        model, sparse = case
+        text = dumps_model(model, sparse=sparse)
+        loaded = loads_model(text)
+        for group in _shared_groups(loaded):
+            by_bits = {}
+            for item in group:
+                assert by_bits.setdefault(_bit_key(item), item) is item
+            assert len({id(item) for item in group}) == len(by_bits)
+        assert dumps_model(loaded, sparse=sparse) == text
+
+
 class TestValidationOnLoad:
     def test_mlp_with_relu_output_rejected(self):
         text = dumps_model(load(FIXTURES / "abs_mlp.json"))
@@ -1605,6 +1645,25 @@ class TestCliExitCodes:
         code, out, err = run_cli([*argv, tmp_path / f"{model}.json"])
         assert (code, out) == (2, "")
         assert "scalar-output" in err and "output dimension 2" in err
+
+    def test_bounds_past_the_int_digit_limit(self, tmp_path):
+        # a bound of more than 4,300 digits ended in a ValueError traceback,
+        # as text and with --json; here 8**6960 has 6,286 digits
+        act = PiecewiseLinear(tuple(map(float, range(-3, 4))), tuple(float(s % 3) for s in range(8)), 0.5)
+        widths = (48, 48, 48, 48, 1)
+        save(Kan(tuple(KanLayer(((act,) * n_in,) * n_out) for n_in, n_out in zip(widths, widths[1:]))),
+             tmp_path / "kan.json")
+        code, out, err = run_cli(["bounds", tmp_path / "kan.json", "--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out, parse_int=decimal.Decimal)  # json.loads would apply the digit limit
+        assert report["region_upper_bound"] == report["ratio_bound"] == 8**6960
+        code, out, err = run_cli(["bounds", tmp_path / "kan.json"])
+        assert (code, err) == (0, "")
+        lines = dict(line.split(": ", 1) for line in out.splitlines())
+        assert int(decimal.Decimal(lines["region_upper_bound"])) == 8**6960
+        # a list of such integers, and a negative one, are written too
+        doc = json.loads(dumps_canonical({"n": -(10**5000), "list": [10**5000, 1]}), parse_int=decimal.Decimal)
+        assert (doc["n"], doc["list"]) == (-(10**5000), [10**5000, 1])
 
     def test_free_count_beyond_total_exits_one(self, tmp_path):
         doc = json.loads((FIXTURES / "three_segment_mlp.json").read_text())
