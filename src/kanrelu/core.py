@@ -114,10 +114,6 @@ def _check_tags(rows: Iterable[Iterable[str]], name: str) -> None:
         raise ValidationError(f"{name} must be {STRUCTURAL!r} or {FREE!r}")
 
 
-def _all_finite(values: Iterable[float]) -> bool:
-    return all(map(math.isfinite, values))
-
-
 def _as_vector(x: Sequence[float], expected: int, what: str) -> Vector:
     """``x`` as a tuple of floats; a tuple of floats is kept, not copied."""
     if len(x) != expected:
@@ -546,6 +542,7 @@ class _Chain:
 class _KanChain(_Chain):
     """A chain of KAN layers, all of ``activation_type``."""
 
+    layer_type = KanLayer
     activation_type: ClassVar[type] = PiecewiseLinear
 
     def _check_layer(self, layer) -> None:

@@ -2,9 +2,13 @@
 
 The 1-D extractor propagates a symbolic piecewise-affine form of every
 intermediate coordinate through the network, inserting a cut point wherever
-an affine piece crosses an activation breakpoint (or zero, for relu).  The
-result is the network's polyhedral complex restricted to the line and serves
-as the oracle for the region-count bounds.
+an affine piece crosses an activation breakpoint (or zero, for relu).  A KAN
+carries one form per coordinate on each interval.  An MLP carries one form
+per distinct row sum of its last layer (``MlpLayer.summation_rows``) and,
+after a ReLU, one activity flag per unit: a unit's form is its sum's form
+plus its bias, computed where it is read, and the next layer sums over the
+active units only.  The result is the network's polyhedral complex
+restricted to the line and serves as the oracle for the region-count bounds.
 """
 from __future__ import annotations
 
@@ -12,10 +16,11 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Sequence
 
-from .core import Activation, Kan, Mlp, MlpLayer, Vector, _all_finite, _check_increasing, _finite_floats
+from .core import _HALF, Activation, Kan, Mlp, MlpLayer, Vector, _check_increasing, _finite_floats
 from .errors import UnsupportedDimensionError, ValidationError
 
 CUT_MERGE_TOL = 1e-12
@@ -117,31 +122,40 @@ def _merge_cuts(cuts: Sequence[float], candidates: Sequence[float]) -> list[floa
 
 # A form is the affine data (slope, intercept) of one coordinate on one interval.
 Forms = list[tuple[float, float]]
+# Each unit's (sum index, bias), from ``MlpLayer.summation_rows``: on an
+# interval whose row sums have the forms ``s``, unit ``i`` with
+# ``units[i] == (j, bias)`` has the form ``(s[j][0], s[j][1] + bias)``.
+Units = Sequence[tuple[int, float]]
 
 
-def _refine(cuts: list[float], forms: list[Forms], candidates: list[float]):
+def _refine(cuts: list[float], forms: list, candidates: list[float]):
+    """The cuts merged with ``candidates``, and each new interval's data: the
+    one of the interval it lies in, shared, not copied."""
     if not candidates:
         return cuts, forms
     new_cuts = _merge_cuts(cuts, candidates)
     new_forms = []
     for i in range(len(new_cuts) + 1):
         m = _midpoint(new_cuts, i)
-        src = bisect_right(cuts, m)
-        new_forms.append(list(forms[src]))
+        new_forms.append(forms[bisect_right(cuts, m)])
     return new_cuts, new_forms
 
 
 def _crossing_candidates(
-    cuts: list[float], forms: list[Forms], thresholds_per_coord: list[list[float]]
+    cuts: list[float], forms: list[Forms], thresholds: Sequence[tuple[int, Sequence[float]]]
 ) -> list[float]:
+    """The points inside each interval where form ``j`` of the interval,
+    ``(a, b)``, takes a value ``t``, at ``(t - b) / a``, for each ``(j, ts)``
+    of ``thresholds`` and ``t`` of ``ts``, in that order."""
     candidates = []
     for i, interval_forms in enumerate(forms):
         lo = -math.inf if i == 0 else cuts[i - 1]
         hi = math.inf if i == len(cuts) else cuts[i]
-        for (a, b), thresholds in zip(interval_forms, thresholds_per_coord):
+        for j, ts in thresholds:
+            a, b = interval_forms[j]
             if a == 0.0:
                 continue  # constant piece: lies entirely on one side
-            for t in thresholds:
+            for t in ts:
                 root = (t - b) / a
                 if lo < root < hi:
                     candidates.append(root)
@@ -159,7 +173,7 @@ def _apply_grid(cuts: list[float], forms: list[Forms], grid) -> tuple[list[float
             thresholds[p].extend(act.breakpoints)
             row.append((act.breakpoints, act.slopes, act.segment_intercepts()))
         segment_data.append(row)
-    cuts, forms = _refine(cuts, forms, _crossing_candidates(cuts, forms, thresholds))
+    cuts, forms = _refine(cuts, forms, _crossing_candidates(cuts, forms, list(enumerate(thresholds))))
 
     new_forms = []
     for i, interval_forms in enumerate(forms):
@@ -180,40 +194,71 @@ def _apply_grid(cuts: list[float], forms: list[Forms], grid) -> tuple[list[float
     return cuts, new_forms
 
 
-def _apply_affine(forms: list[Forms], layer: MlpLayer) -> list[Forms]:
-    rows, pairs, index_bias = layer.summation_rows(
-        _all_finite(chain.from_iterable(chain.from_iterable(forms)))
+def _unit_forms(sums: Forms, active: Sequence[bool], units: Units) -> Forms:
+    """Each unit's form on one interval; an inactive unit's is (0.0, 0.0)."""
+    return [(sums[j][0], sums[j][1] + bias) if on else (0.0, 0.0) for (j, bias), on in zip(units, active)]
+
+
+def _apply_affine(
+    forms: list[Forms], active: list[list[bool]], units: Units, layer: MlpLayer
+) -> tuple[list[Forms], Units]:
+    """Each interval's row sums of ``layer``, and the layer's units.
+
+    The inputs are the units of the layer before: ``forms`` holds each
+    interval's row sums, ``active`` its flag per unit.  An inactive unit's
+    form is ``(0.0, 0.0)``, and adding ``w * 0.0`` to a sum that starts at
+    ``+0.0`` leaves it unchanged, as for the zero weights ``summation_rows``
+    skips, so only active units are summed.  The grouped rows need every
+    unit's form to be finite: each is when every row sum and every bias lies
+    in ``[-_HALF, _HALF]``, and otherwise each active unit's form is checked.
+    """
+    finite = all(-_HALF <= bias <= _HALF for _, bias in units) and all(
+        -_HALF <= v <= _HALF for v in chain.from_iterable(chain.from_iterable(forms))
     )
+    if not finite:
+        finite = all(
+            math.isfinite(a) and math.isfinite(b)
+            for sums, on in zip(forms, active)
+            for a, b in _unit_forms(sums, on, units)
+        )
+    rows, pairs, index_bias = layer.summation_rows(finite)
+    # each entry with its unit's sum index and bias, looked up once per layer
+    rows = [[(p, w, *units[p]) for p, w in row] for row in rows]
     new_forms = []
-    for interval_forms in forms:
-        sums = []
+    for sums, on in zip(forms, active):
+        out = []
         for row in rows:
             acc_a = acc_b = 0.0
-            for p, w in row:
-                a, b = interval_forms[p]
-                acc_a += w * a
-                acc_b += w * b
-            sums.append((acc_a, acc_b))
-        sums += [(0.0 - a, 0.0 - b) for a, b in sums[:pairs]]
-        new_forms.append([(sums[i][0], sums[i][1] + bias) for i, bias in index_bias])
-    return new_forms
-
-
-def _apply_relu(cuts: list[float], forms: list[Forms]) -> tuple[list[float], list[Forms]]:
-    width = len(forms[0])
-    thresholds = [[0.0]] * width
-    cuts, forms = _refine(cuts, forms, _crossing_candidates(cuts, forms, thresholds))
-    new_forms = []
-    for i, interval_forms in enumerate(forms):
-        m = _midpoint(cuts, i)
-        out: Forms = []
-        for form in interval_forms:
-            a, b = form
-            # constant pieces sitting exactly on the kink count as active; an
-            # active form keeps its tuple, which saves a copy of every form
-            out.append(form if a * m + b >= 0.0 else (0.0, 0.0))
+            for p, w, j, bias in row:
+                if on[p]:
+                    a, b = sums[j]
+                    acc_a += w * a
+                    acc_b += w * (b + bias)
+            out.append((acc_a, acc_b))
+        out += [(0.0 - a, 0.0 - b) for a, b in out[:pairs]]
         new_forms.append(out)
-    return cuts, new_forms
+    return new_forms, index_bias
+
+
+def _apply_relu(
+    cuts: list[float], forms: list[Forms], units: Units
+) -> tuple[list[float], list[Forms], list[list[bool]]]:
+    """The cuts where a unit's form crosses zero added, each new interval's
+    row sums, and one flag per unit: whether it is active there."""
+    # consecutive units on one sum form a run, which keeps unit order
+    runs = [(j, [bias for _, bias in run]) for j, run in groupby(units, itemgetter(0))]
+    # unit (j, bias) is zero where sum j is -bias: (0.0 - bias) - b is
+    # 0.0 - (b + bias) bit for bit, as negation is exact, rounding is
+    # symmetric and an exact zero is +0.0 either way
+    thresholds = [(j, [0.0 - bias for bias in biases]) for j, biases in runs]
+    cuts, forms = _refine(cuts, forms, _crossing_candidates(cuts, forms, thresholds))
+    active = []
+    for i, sums in enumerate(forms):
+        m = _midpoint(cuts, i)
+        at = [(a * m, b) for a, b in sums]
+        # constant pieces sitting exactly on the kink count as active
+        active.append([am + (b + bias) >= 0.0 for j, biases in runs for am, b in (at[j],) for bias in biases])
+    return cuts, forms, active
 
 
 def _normalize(cuts: list[float], forms: list[Forms]) -> tuple[list[float], list[Forms]]:
@@ -252,10 +297,17 @@ def exact_regions_1d(net: Kan | Mlp) -> Complex1D:
         for layer in net.layers:
             cuts, forms = _apply_grid(cuts, forms, layer.activations)
     elif isinstance(net, Mlp):
+        # one form per distinct row sum of the last layer, one flag per unit;
+        # the input is one unit whose bias, -0.0, leaves every float as it is
+        units: Units = ((0, -0.0),)
+        active = [[True]]
         for layer in net.layers:
-            forms = _apply_affine(forms, layer)
+            forms, units = _apply_affine(forms, active, units, layer)
             if layer.activation is Activation.RELU:
-                cuts, forms = _apply_relu(cuts, forms)
+                cuts, forms, active = _apply_relu(cuts, forms, units)
+            else:
+                active = [[True] * len(units)] * len(forms)
+        forms = [_unit_forms(sums, on, units) for sums, on in zip(forms, active)]
     else:
         raise ValidationError(f"unsupported network type {type(net).__name__}")
 

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from kanrelu import (
     Activation,
@@ -242,6 +243,16 @@ class TestKanEval:
             with pytest.raises(ValidationError, match="Mlp layers must be MlpLayers"):
                 Mlp((layer,))
 
+
+    def test_hypothesis_prints_kan_chains(self):
+        # a falsifying example prints through every dataclass field name, the
+        # class-level ``layer_type`` and ``activation_type`` included
+        pl = PiecewiseLinear((0.0,), (0.0, 1.0), 0.0)
+        spline = PolySegmentSpline((0.0,), ((0.0,), (0.0, 1.0)), 1)
+        for model in (Kan((KanLayer(((pl,),)),)), SplineKan((KanLayer(((spline,),)),))):
+            text = pretty(model)
+            assert text.startswith(f"{type(model).__name__}(layers=(KanLayer(")
+            assert "layer_type=kanrelu.core.KanLayer" in text
 
 class TestMlpEval:
     def test_abs_network(self, abs_mlp):

@@ -1,14 +1,15 @@
 """Sparse evaluation kernels against the dense loops they replace, bit for bit.
 
 The reference loops below are the dense versions of ``MlpLayer.apply``,
-``regions._apply_affine`` and ``KanLayer.apply``: they visit every entry
-in ascending index order.  The kernels skip zero weights, sum each distinct
-row of a layer once, take a negated row's sum as ``0.0 - s`` and skip
-constant-zero activations, which must not change a single output bit,
-including on infinite and NaN inputs.  The compiled kernels, the generated
-straight-line functions a network switches to after ``KERNEL_AFTER`` finite
-evaluations, one per layer, are checked against the same loops, and so is
-their tiering.
+the MLP steps of ``regions.exact_regions_1d`` and ``KanLayer.apply``: they
+visit every entry in ascending index order, and the reference extractor
+carries one form per unit.  The kernels skip zero weights, sum each
+distinct row of a layer once, take a negated row's sum as ``0.0 - s``,
+skip inactive units and constant-zero activations, which must not change
+a single output bit, including on infinite and NaN inputs.  The compiled
+kernels, the generated straight-line functions a network switches to after
+``KERNEL_AFTER`` finite evaluations, one per layer, are checked against
+the same loops, and so is their tiering.
 """
 import copy
 import dataclasses
@@ -20,6 +21,7 @@ import struct
 import sys
 import threading
 import weakref
+from bisect import bisect_right
 from itertools import chain
 from unittest import mock
 
@@ -39,6 +41,7 @@ from kanrelu import (
     PolySegmentSpline,
     ShapeError,
     SplineKan,
+    ValidationError,
     bspline_from_knots,
     bspline_to_monomial_relu,
     count_params_kan,
@@ -50,6 +53,7 @@ from kanrelu import (
     save,
 )
 from kanrelu import core, regions
+from kanrelu.regions import Complex1D, Piece
 
 from conftest import DECIMALS, decimal_pls, random_kan, random_pl
 
@@ -230,7 +234,7 @@ class TestMlpLayerApply:
                 assert bits(layer.apply(x)) == bits(dense_apply(layer, x))
                 check_kernel(layer, x)
             forms = [list(zip(x, reversed(x))) for x in inputs]
-            assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
+            assert _form_bits(apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
         layer = MlpLayer(weight, bias, Activation.IDENTITY)
         out = layer.apply((0.5, 0.5, 1.0))
         assert bits(out[:2]) == bits((0.0, 0.0))
@@ -297,12 +301,104 @@ class TestMlpLayerApply:
             assert bits(mlp.evaluate(x)) == bits(v)
 
 
+def _unit_forms(sums, active, units):
+    """Each unit's form on one interval, as the per-unit extractor has it."""
+    return [(sums[j][0], sums[j][1] + bias) if on else (0.0, 0.0) for (j, bias), on in zip(units, active)]
+
+
+def apply_affine(forms, layer, active=None):
+    """``regions._apply_affine`` on per-unit ``forms`` whose unit ``i`` is
+    active where ``active[k][i]`` (everywhere by default), as per-unit forms.
+
+    Each input unit reads its own form with the bias -0.0, which adds
+    nothing, so the step sees ``forms`` as they are.
+    """
+    units = [(i, -0.0) for i in range(len(forms[0]))]
+    active = active or [[True] * len(units)] * len(forms)
+    sums, out_units = regions._apply_affine(forms, active, units, layer)
+    return [_unit_forms(s, [True] * len(out_units), out_units) for s in sums]
+
+
+def reference_forms_1d(mlp):
+    """The per-unit extractor: the cuts and each interval's unit forms of a
+    1-input ``mlp``, before any pieces merge, and each layer's finite
+    decision.
+
+    Every interval carries one form per unit, every layer sums them with
+    the dense loop, and a ReLU cuts each unit's form at its own zero and
+    sets an inactive form to ``(0.0, 0.0)``.  A layer's decision is whether
+    every form it reads is finite, the test that chose between the grouped
+    and the ungrouped rows.
+    """
+    cuts, forms, decisions = [], [[(1.0, 0.0)]], []
+    for layer in mlp.layers:
+        decisions.append(all(map(math.isfinite, chain.from_iterable(chain.from_iterable(forms)))))
+        forms = dense_apply_affine(forms, layer)
+        if layer.activation is not Activation.RELU:
+            continue
+        candidates = []
+        for i, interval_forms in enumerate(forms):
+            lo = -INF if i == 0 else cuts[i - 1]
+            hi = INF if i == len(cuts) else cuts[i]
+            for a, b in interval_forms:
+                if a != 0.0 and lo < (root := (0.0 - b) / a) < hi:
+                    candidates.append(root)
+        if candidates:
+            new_cuts = regions._merge_cuts(cuts, candidates)
+            forms = [list(forms[bisect_right(cuts, regions._midpoint(new_cuts, i))]) for i in range(len(new_cuts) + 1)]
+            cuts = new_cuts
+        forms = [
+            [(a, b) if a * m + b >= 0.0 else (0.0, 0.0) for a, b in interval_forms]
+            for interval_forms, m in zip(forms, [regions._midpoint(cuts, i) for i in range(len(forms))])
+        ]
+    return cuts, forms, decisions
+
+
+def reference_regions_1d(mlp, normalize=True):
+    """The per-unit extractor's complex, keeping every piece unless ``normalize``."""
+    cuts, forms, _ = reference_forms_1d(mlp)
+    if normalize:
+        cuts, forms = regions._normalize(cuts, forms)
+    return Complex1D(tuple(cuts), tuple(Piece(tuple(a for a, _ in f), tuple(b for _, b in f)) for f in forms))
+
+
+def _regions(net, normalize):
+    """``exact_regions_1d``, keeping every piece unless ``normalize``."""
+    merge = regions._normalize if normalize else lambda cuts, forms: (cuts, forms)
+    with mock.patch.object(regions, "_normalize", merge):
+        return exact_regions_1d(net)
+
+
+def regions_outcome(f, *args):
+    """``repr`` of the complex ``f`` returns, or the ``ValidationError`` it raises."""
+    try:
+        return repr(f(*args))
+    except ValidationError as e:
+        return repr(e)
+
+
+def check_regions(mlp, normalize=True):
+    """``exact_regions_1d`` of ``mlp`` against the per-unit extractor: the
+    same ``repr`` or the same error, with the rows of each layer chosen by
+    the same finite decision.  Returns the outcome."""
+    with mock.patch.object(
+        MlpLayer, "summation_rows", autospec=True, side_effect=MlpLayer.summation_rows
+    ) as rows:
+        got = regions_outcome(_regions, mlp, normalize)
+    assert got == regions_outcome(reference_regions_1d, mlp, normalize)
+    assert [c.args[1] for c in rows.call_args_list] == reference_forms_1d(mlp)[2]
+    return got
+
+
 @st.composite
 def _layers_and_forms(draw):
+    """A layer, per-unit input forms on up to three intervals and each
+    unit's activity flag there."""
     layer, _ = draw(_layers())
     form = st.tuples(_INPUTS, _INPUTS)
-    intervals = st.lists(st.lists(form, min_size=layer.n_in, max_size=layer.n_in), min_size=1, max_size=3)
-    return layer, draw(intervals)
+    intervals = draw(st.lists(st.lists(form, min_size=layer.n_in, max_size=layer.n_in), min_size=1, max_size=3))
+    active = [[draw(st.booleans()) for _ in range(layer.n_in)] for _ in intervals]
+    return layer, intervals, active
 
 
 def _form_bits(forms):
@@ -313,17 +409,40 @@ class TestApplyAffine:
     @given(_layers_and_forms())
     @settings(max_examples=300, deadline=None)
     def test_matches_dense_loop_bit_for_bit(self, case):
-        layer, forms = case
-        assert _form_bits(regions._apply_affine(forms, layer)) == _form_bits(dense_apply_affine(forms, layer))
+        # an inactive unit is (0.0, 0.0) to the dense loop, and is skipped
+        layer, forms, active = case
+        inputs = [[form if on else (0.0, 0.0) for form, on in zip(f, flags)] for f, flags in zip(forms, active)]
+        assert _form_bits(apply_affine(forms, layer, active)) == _form_bits(dense_apply_affine(inputs, layer))
 
 
-def _regions(net, normalize, dense=False):
-    """``exact_regions_1d``, keeping every piece unless ``normalize``, through
-    the dense affine loop when ``dense``."""
-    merge = regions._normalize if normalize else lambda cuts, forms: (cuts, forms)
-    affine = dense_apply_affine if dense else regions._apply_affine
-    with mock.patch.object(regions, "_normalize", merge), mock.patch.object(regions, "_apply_affine", affine):
-        return exact_regions_1d(net)
+# Weights of random 1-input MLPs: signed zeros, units, 3-decimal values,
+# and entries whose products and sums pass max/2 and overflow to inf,
+# after which a zero weight or a cancelling sum makes NaN; a sum of 5e307,
+# within max/2, overflows with a bias of 1.5e308
+_MLP_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 5e307, -5e307, 1.5e308, -1.5e308]),
+    DECIMALS,
+)
+
+
+@st.composite
+def _random_mlps(draw):
+    """A 1-input MLP whose rows may repeat or negate an earlier row of their layer."""
+    widths = [1] + [draw(st.integers(1, 5)) for _ in range(draw(st.integers(1, 3)))] + [1]
+    layers = []
+    for k, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        weight = []
+        for _ in range(n_out):
+            copy = draw(st.none() | st.tuples(st.integers(0, 10**6), st.booleans()))
+            if copy and weight:
+                row = weight[copy[0] % len(weight)]
+                weight.append([-w for w in row] if copy[1] else row)
+            else:
+                weight.append([draw(_MLP_WEIGHTS) for _ in range(n_in)])
+        bias = [draw(_MLP_WEIGHTS) for _ in range(n_out)]
+        last = k == len(widths) - 2
+        layers.append(MlpLayer(weight, bias, Activation.IDENTITY if last else Activation.RELU))
+    return Mlp(tuple(layers))
 
 
 class TestExactRegions1D:
@@ -332,10 +451,20 @@ class TestExactRegions1D:
     def test_converted_network_matches_dense_affine(self, seed, mode, normalize):
         kan = random_kan(random.Random(seed), input_dim=1, max_width=3, max_depth=3, max_segments=5)
         mlp = kan_to_mlp(kan, mode)
-        sparse = _regions(mlp, normalize)
-        dense = _regions(mlp, normalize, dense=True)
-        assert sparse == dense
-        assert repr(sparse) == repr(dense)
+        got = _regions(mlp, normalize)
+        assert got == reference_regions_1d(mlp, normalize)
+        assert check_regions(mlp, normalize) == repr(got)
+
+    @given(_random_mlps(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_random_network_matches_per_unit_extractor(self, mlp, normalize):
+        check_regions(mlp, normalize)
+
+    @given(_INPUTS, _WEIGHTS | st.sampled_from([5e-324, 1e308, -1e308]))
+    @settings(max_examples=500)
+    def test_a_unit_crosses_zero_where_its_sum_crosses_minus_its_bias(self, b, bias):
+        # the ReLU step's threshold for sum intercept b and unit bias bias
+        assert bits([(0.0 - bias) - b]) == bits([0.0 - (b + bias)])
 
     def test_overflowed_forms_take_the_dense_loop(self):
         # slopes overflow to inf in the second layer; the third layer's zero
@@ -344,10 +473,73 @@ class TestExactRegions1D:
         zero = MlpLayer(((0.0,), (1.0,)), (0.0, 0.0), Activation.RELU)
         out = MlpLayer(((1.0, 1.0),), (0.0,), Activation.IDENTITY)
         mlp = Mlp((big, big, zero, out))
-        forms = [[(INF, 0.0)]]
-        assert repr(regions._apply_affine(forms, zero)) == repr(dense_apply_affine(forms, zero))
-        assert math.isnan(regions._apply_affine(forms, zero)[0][0][0])
-        assert repr(_regions(mlp, normalize=False)) == repr(_regions(mlp, normalize=False, dense=True))
+        for forms in ([[(INF, 0.0)]], [[(0.0, -INF)], [(NAN, 1.0)], [(-INF, INF)]]):
+            got = apply_affine(forms, zero)
+            assert repr(got) == repr(dense_apply_affine(forms, zero))
+            assert math.isnan(got[0][0][0] + got[0][0][1])
+        assert check_regions(mlp, normalize=False) == repr(reference_regions_1d(mlp, normalize=False))
+
+
+class TestFiniteDecision:
+    """The grouped rows need every unit's form to be finite.  Row sums and
+    biases within max/2 show it; past that, the active units' forms decide,
+    as the per-unit extractor decides from every form."""
+
+    def _decide(self, mlp):
+        """Each layer's decision, checked against the per-unit extractor,
+        and how many unit forms were built to make them: those beyond the
+        output's, one per interval."""
+        with mock.patch.object(regions, "_unit_forms", side_effect=regions._unit_forms) as unit_forms:
+            check_regions(mlp, normalize=False)
+        _, forms, decisions = reference_forms_1d(mlp)
+        return decisions, unit_forms.call_count - len(forms)
+
+    def test_sums_within_half_decide_without_unit_forms(self):
+        first = MlpLayer(((1.0,), (-1.0,), (1.0,)), (0.0, 0.5, -0.5), Activation.RELU)
+        out = MlpLayer(((1.0, -0.0, 2.0),), (0.25,), Activation.IDENTITY)
+        decisions, calls = self._decide(Mlp((first, out)))
+        assert (decisions, calls) == ([True, True], 0)
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            # a slope of 1e308 passes max/2
+            MlpLayer(((1e308,), (-1.0,)), (0.0, 0.5), Activation.RELU),
+            # a bias of 1.5e308 passes max/2, its unit's form (1.0, 1.5e308) does not overflow
+            MlpLayer(((1.0,), (-1.0,)), (1.5e308, 0.0), Activation.RELU),
+            # a bias of -1e308 passes max/2, and the second layer adds its
+            # unit to a constant one of 0.75e308
+            MlpLayer(((1.0,), (-0.0,)), (-1e308, 0.75e308), Activation.RELU),
+        ],
+    )
+    def test_sums_past_half_with_finite_forms_take_the_grouped_rows(self, first):
+        second = MlpLayer(((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0)), (0.0, 0.0, 0.0), Activation.RELU)
+        out = MlpLayer(((1.0, 0.0, 1.0),), (0.0,), Activation.IDENTITY)
+        decisions, calls = self._decide(Mlp((first, second, out)))
+        assert decisions == [True, True, True] and calls > 0
+
+    def test_only_an_inactive_unit_past_the_range_takes_the_grouped_rows(self):
+        # the second layer's second unit is (0.0, -1e308 - 1e308) = (0.0, -inf),
+        # inactive everywhere, so the output reads it as (0.0, 0.0)
+        first = MlpLayer(((1.0,), (0.0,)), (0.0, 1e308), Activation.RELU)
+        second = MlpLayer(((1.0, 0.0), (0.0, -1.0)), (0.0, -1e308), Activation.RELU)
+        out = MlpLayer(((1.0, 0.0),), (0.0,), Activation.IDENTITY)
+        decisions, calls = self._decide(Mlp((first, second, out)))
+        assert decisions == [True, True, True] and calls > 0
+        # the same unit made active, (0.0, 1e308 + 1e308) = (0.0, inf), takes the
+        # ungrouped rows, and its zero weight then makes NaN
+        second = MlpLayer(((1.0, 0.0), (0.0, 1.0)), (0.0, 1e308), Activation.RELU)
+        mlp = Mlp((first, second, out))
+        assert self._decide(mlp)[0] == [True, True, False]
+        assert all(math.isnan(piece.intercepts[0]) for piece in _regions(mlp, normalize=False).pieces)
+
+    def test_a_sum_within_half_can_overflow_with_its_bias(self):
+        # the second unit's sum, (0.0, 5e307), is within max/2, but its bias
+        # of 1.5e308 is not, and (0.0, 5e307 + 1.5e308) is (0.0, inf)
+        first = MlpLayer(((1.0,), (0.0,)), (0.0, 5e307), Activation.RELU)
+        second = MlpLayer(((1.0, 0.0), (0.0, 1.0)), (0.0, 1.5e308), Activation.RELU)
+        out = MlpLayer(((1.0, 0.0),), (0.0,), Activation.IDENTITY)
+        assert self._decide(Mlp((first, second, out)))[0] == [True, True, False]
 
 
 _ZERO_SPLINES = (
