@@ -12,18 +12,21 @@ A network that keeps being evaluated compiles its layers into kernels: per
 layer, one Python function built once from generated straight-line source
 that takes the layer's inputs as its arguments and does the float
 operations of the layer's loop, in the same order, so every output bit is
-the loop's.  A kernel returns None when an output is not finite, so each
-kernel gets finite inputs only; the network then runs again through the
-loops, as it does for a non-finite input.  One point through the
-4-88-88-88-4 MLP of a converted 4/3/6 KAN takes about 17-20 µs compiled
-against about 33 µs in the loops (2 vCPU, Python 3.11).  Compiling costs
-10-25 µs per unit of straight-line size against about 0.1 µs per unit for
-one interpreted apply, so a network compiles only after ``KERNEL_AFTER``
-evaluations at a finite input, each layer in its own ``compile`` call and
-only when its size is at most ``KERNEL_MAX_UNITS``, which covers every
-layer of an exact conversion up to a 16/3/8 KAN (4,128 units at most) and
-leaves out the 66,816-unit hidden layers of a round-tripped 8/3/8 KAN; such
-a layer runs its loop in its kernel's place.  Spline layers have no kernel.
+the loop's.  Between two compiled MLP layers the second one's kept row
+sums pass instead of the first one's outputs: an active ReLU unit adds
+into them, and an inactive one costs one comparison.  A kernel returns None
+when an output is not finite, so each kernel gets finite inputs only; the
+network then runs again through the loops, as it does for a non-finite
+input.  One point through the 4-88-88-88-4 MLP of a converted 4/3/6 KAN
+takes about 9-10 µs compiled against about 33 µs in the loops (2 vCPU,
+Python 3.11).  Compiling costs 10-25 µs per unit of straight-line size
+against about 0.1 µs per unit for one interpreted apply, so a network
+compiles only after ``KERNEL_AFTER`` evaluations at a finite input, each
+layer in its own ``compile`` call and only when its size is at most
+``KERNEL_MAX_UNITS``, which covers every layer of an exact conversion up to
+a 16/3/8 KAN (4,128 units at most) and leaves out the 66,816-unit hidden
+layers of a round-tripped 8/3/8 KAN; such a layer runs its loop in its
+kernel's place.  Spline layers have no kernel.
 """
 from __future__ import annotations
 
@@ -114,10 +117,15 @@ def _check_tags(rows: Iterable[Iterable[str]], name: str) -> None:
         raise ValidationError(f"{name} must be {STRUCTURAL!r} or {FREE!r}")
 
 
-def _as_vector(x: Sequence[float], expected: int, what: str) -> Vector:
-    """``x`` as a tuple of floats; a tuple of floats is kept, not copied."""
+def _as_vector(x: Sequence[float], expected: int, what: object) -> Vector:
+    """``x`` as a tuple of floats; a tuple of floats is kept, not copied.
+
+    ``what`` names ``x`` in the length error: a string, or the model whose
+    input ``x`` is, so that the name is only formatted for the error.
+    """
     if len(x) != expected:
-        raise ShapeError(f"{what}: expected length {expected}, got {len(x)}")
+        name = what if isinstance(what, str) else f"{type(what).__name__} input"
+        raise ShapeError(f"{name}: expected length {expected}, got {len(x)}")
     if type(x) is tuple and _FLOAT.issuperset(map(type, x)):
         return x
     return tuple(map(float, x))
@@ -131,9 +139,10 @@ _MAX = sys.float_info.max
 _HALF = _MAX / 2
 
 
-def _build_kernel(n_in: int, body: Iterable[str]) -> _Kernel:
-    """The function ``kernel(x0, ..., x{n_in-1})`` whose body is the
-    generated lines ``body``, which carry their own nesting.
+def _build_kernel(n_in: int, body: Iterable[str], name: str = "x") -> _Kernel:
+    """The function ``kernel(x0, ..., x{n_in-1})``, its arguments named
+    ``name`` then an index, whose body is the generated lines ``body``,
+    which carry their own nesting.
 
     The lines hold only ``repr`` of floats, integer indices and generated
     names.  The floats are the checked-finite parameters, their finiteness
@@ -143,7 +152,7 @@ def _build_kernel(n_in: int, body: Iterable[str]) -> _Kernel:
     own locals, so the function and its namespaces form no reference cycle
     and are freed with the network that holds the function.
     """
-    params = ", ".join(f"x{p}" for p in range(n_in))
+    params = ", ".join(f"{name}{p}" for p in range(n_in))
     source = f"def kernel({params}):\n" + "".join(f" {line}\n" for line in body)
     namespace: dict = {}
     exec(compile(source, "<kanrelu kernel>", "exec"), {"__builtins__": {}, "inf": math.inf}, namespace)
@@ -452,10 +461,12 @@ class _Chain:
     evaluations at a finite input, then the network compiles, one
     ``compile`` per layer, each layer whose ``_kernel_units`` (its
     straight-line size, None for a layer with no kernel) is at most
-    ``KERNEL_MAX_UNITS``.  The call count and the kernels sit in the
-    instance ``__dict__``, and are neither compared nor pickled.  Two
-    threads racing on the count may at worst both compile; either set of
-    kernels is right.
+    ``KERNEL_MAX_UNITS``.  A kernel takes its layer's inputs and returns
+    its outputs, except that an ``Mlp`` passes the kept row sums of the
+    second of two compiled layers between their kernels.  The call count
+    and the kernels sit in the instance ``__dict__``, and are neither
+    compared nor pickled.  Two threads racing on the count may at worst
+    both compile; either set of kernels is right.
     """
 
     layers: tuple
@@ -493,16 +504,17 @@ class _Chain:
     def evaluate(self, x: Sequence[float]) -> Vector:
         """The last layer's outputs at ``x``, converted to floats once.
 
-        Once compiled, each layer's kernel takes the finite outputs of the
-        one before as its arguments.  A kernel returns ``None`` when one of
-        its outputs is not finite, and then the network runs again from
-        ``x`` through the layer loops, as it does for a non-finite ``x``;
-        the loops give the kernels' bits, and also the ``DomainError`` of a
-        PL layer and the NaNs of ``0.0 * inf``.  Each layer's ``_forward``
+        Once compiled, each layer's kernel takes what the one before
+        returns as its arguments: finite outputs, or the row sums they
+        make.  A kernel returns ``None`` when one of its outputs is not
+        finite, and then the network runs again from ``x`` through the
+        layer loops, as it does for a non-finite ``x``; the loops give the
+        kernels' bits, and also the ``DomainError`` of a PL layer and the
+        NaNs of ``0.0 * inf``.  Each layer's ``_forward``
         takes the float tuple its predecessor returned, so no intermediate
         is checked or converted again.
         """
-        x = _as_vector(x, self.input_dim, f"{type(self).__name__} input")
+        x = _as_vector(x, self.layers[0].n_in, self)
         if math.isfinite(sum(x)) and (kernels := self._finite_kernels()):
             y = x
             for kernel in kernels:
@@ -528,10 +540,16 @@ class _Chain:
             fits = [units is not None and units <= KERNEL_MAX_UNITS for units in sizes]
             # False: decided, never compiled
             kernels = state["_kernels"] = any(fits) and tuple(
-                _build_kernel(layer.n_in, layer._kernel_lines()) if fit else _finite_loop(layer._forward)
-                for layer, fit in zip(self.layers, fits)
+                self._kernel(i, fits) if fit else _finite_loop(layer._forward)
+                for i, (layer, fit) in enumerate(zip(self.layers, fits))
             )
         return kernels or None
+
+    def _kernel(self, i: int, fits: Sequence[bool]) -> _Kernel:
+        """Layer ``i``'s kernel, which takes its inputs and returns its
+        outputs; ``fits`` says which layers compile."""
+        layer = self.layers[i]
+        return _build_kernel(layer.n_in, layer._kernel_lines())
 
     def __getstate__(self) -> dict:
         # a generated function cannot be pickled; a copy counts afresh
@@ -664,17 +682,32 @@ class MlpLayer:
         """Grouped nonzero weights plus outputs."""
         return sum(map(len, self._grouped_rows[0])) + self.n_out
 
-    def _kernel_lines(self) -> list[str]:
+    def _kernel_lines(self, sums_in: bool = False, feed: MlpLayer | None = None) -> list[str]:
         """``_forward``'s loop over the grouped rows, unrolled; a long row
-        is summed in statements of at most ``_KERNEL_TERMS`` terms.
+        is summed in statements of at most ``_KERNEL_TERMS`` terms.  With
+        ``sums_in``, the kernel takes the kept row sums ``s0, ...`` as its
+        arguments instead, summed by the kernel before.
 
         When every ``|bias|`` is at most ``_HALF``, a row sum of at most
         ``_HALF`` gives a finite output, so only the distinct row sums are
         checked, before any output is built; otherwise each output is.
+
+        A ReLU layer given the layer ``feed`` after it returns ``feed``'s
+        kept row sums, not its outputs.  Each unit ``(j, b)``, in ascending
+        order, is active where ``s{j} > -b``, and then adds its output ``t``
+        times each nonzero weight of its column of ``feed`` into the sum of
+        that row, which starts at ``+0.0``: ``feed``'s own loop, less the
+        ``w*0.0`` terms of inactive units, which leave such a sum as it is.
+        For finite ``s`` and ``b``, ``s > -b`` is ``s + b > 0.0``: negation
+        is exact, and the exact sum, a multiple of 2**-1074, rounds to a
+        positive float exactly when it is positive; a NaN or ``-inf`` sum is
+        inactive both ways and ``+inf`` active.  Past ``_HALF``, the output
+        of each active unit is checked, also of one with no weight in
+        ``feed``.
         """
         rows, pairs, index_bias = self._grouped_rows
         lines = []
-        for j, row in enumerate(rows):
+        for j, row in enumerate(() if sums_in else rows):
             acc = "0.0"
             for start in range(0, len(row), _KERNEL_TERMS):
                 terms = "".join(f" + {w!r}*x{p}" for p, w in row[start:start + _KERNEL_TERMS])
@@ -686,6 +719,19 @@ class MlpLayer:
         if small_bias:
             lines += _none_unless_within([f"s{j}" for j, row in enumerate(rows) if row], _HALF)
         lines += [f"s{len(rows) + j} = 0.0 - s{j}" for j in range(pairs)]
+        if feed is not None:
+            feed_rows = feed._grouped_rows[0]
+            adds: list[list[str]] = [[] if small_bias else [f" if t > {_MAX!r}: return None"]
+                                     for _ in range(self.n_out)]
+            for k, row in enumerate(feed_rows):
+                lines.append(f"a{k} = 0.0")
+                for p, w in row:
+                    adds[p].append(f" a{k} += {w!r}*t")
+            for (j, b), unit in zip(index_bias, adds):
+                if unit:
+                    lines += [f"if s{j} > {-b!r}:", f" t = s{j} + {b!r}", *unit]
+            lines.append(_returns("a", len(feed_rows)))
+            return lines
         for i, (j, b) in enumerate(index_bias):
             lines.append(f"o{i} = s{j} + {b!r}")
             if self.activation is Activation.RELU:
@@ -736,6 +782,18 @@ class Mlp(_Chain):
     @property
     def hidden_widths(self) -> tuple[int, ...]:
         return tuple(layer.n_out for layer in self.layers[:-1])
+
+    def _kernel(self, i: int, fits: Sequence[bool]) -> _Kernel:
+        """Layer ``i``'s kernel.  Between two compiled layers pass the
+        second one's kept row sums, not the first one's outputs: a kernel
+        after a compiled layer takes its kept row sums, and one before a
+        compiled layer returns that layer's."""
+        layer, sums_in = self.layers[i], i > 0 and fits[i - 1]
+        feed = self.layers[i + 1] if i + 1 < len(fits) and fits[i + 1] else None
+        lines = layer._kernel_lines(sums_in, feed)
+        if sums_in:
+            return _build_kernel(len(layer._grouped_rows[0]), lines, "s")
+        return _build_kernel(layer.n_in, lines)
 
 
 eval_mlp = Mlp.evaluate  # eval_mlp(mlp, x) is mlp.evaluate(x)

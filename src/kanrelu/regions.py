@@ -211,9 +211,12 @@ def _apply_affine(
     skips, so only active units are summed.  The grouped rows need every
     unit's form to be finite: each is when every row sum and every bias lies
     in ``[-_HALF, _HALF]``, and otherwise each active unit's form is checked.
+    Intervals cut from one source share its list of row sums, so each
+    distinct list is scanned once.
     """
+    distinct = {id(sums): sums for sums in forms}.values()
     finite = all(-_HALF <= bias <= _HALF for _, bias in units) and all(
-        -_HALF <= v <= _HALF for v in chain.from_iterable(chain.from_iterable(forms))
+        -_HALF <= v <= _HALF for v in chain.from_iterable(chain.from_iterable(distinct))
     )
     if not finite:
         finite = all(

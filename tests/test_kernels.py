@@ -9,7 +9,8 @@ skip inactive units and constant-zero activations, which must not change
 a single output bit, including on infinite and NaN inputs.  The compiled
 kernels, the generated straight-line functions a network switches to after
 ``KERNEL_AFTER`` finite evaluations, one per layer, are checked against
-the same loops, and so is their tiering.
+the same loops, alone and as the chain that passes row sums between MLP
+kernels, and so is their tiering.
 """
 import copy
 import dataclasses
@@ -55,7 +56,7 @@ from kanrelu import (
 from kanrelu import core, regions
 from kanrelu.regions import Complex1D, Piece
 
-from conftest import DECIMALS, decimal_pls, random_kan, random_pl
+from conftest import DECIMALS, decimal_kans, decimal_pls, random_kan, random_pl
 
 INF = math.inf
 NAN = math.nan
@@ -731,22 +732,24 @@ def check_kernel(layer, x, kernel=None):
     the bias, lies outside ``±max/2``.
     """
     got = (kernel or compiled(layer))(*x)
-    if isinstance(layer, MlpLayer):
-        want = dense_apply(layer, x)
-        if all(abs(b) <= _HALF for b in layer.bias):
-            sums = dense_apply(MlpLayer(layer.weight, (0.0,) * layer.n_out, Activation.IDENTITY), x)
-            rejected = not all(-_HALF <= s <= _HALF for s in sums)
-        else:
-            rejected = not all(map(math.isfinite, want))
-    else:
-        want = pl_dense_apply(layer, x)
-        rejected = not all(map(math.isfinite, want))
-    if rejected:
+    want = dense_apply(layer, x) if isinstance(layer, MlpLayer) else pl_dense_apply(layer, x)
+    if rejects(layer, x, want):
         assert got is None
     else:
         assert got is not None and bits(got) == bits(want)
         assert all(map(math.isfinite, got))
     return got
+
+
+def rejects(layer, x, out):
+    """Whether ``layer``'s kernel gives None at the finite input ``x``,
+    where the dense loop gives ``out``: when an output is not finite, or,
+    for an MLP layer whose every ``|bias|`` is at most half the float
+    range, when a dense row sum lies outside ``±max/2``."""
+    if isinstance(layer, MlpLayer) and all(abs(b) <= _HALF for b in layer.bias):
+        sums = dense_apply(MlpLayer(layer.weight, (0.0,) * layer.n_out, Activation.IDENTITY), x)
+        return not all(-_HALF <= s <= _HALF for s in sums)
+    return not all(map(math.isfinite, out))
 
 
 def kernels(net):
@@ -759,6 +762,40 @@ def apply_until_compiled(net, x):
     for _ in range(core.KERNEL_AFTER):
         out = net.evaluate(x)
     return out
+
+
+def compile_with(net, fits):
+    """``net``'s kernels, compiled at its first evaluation, with the layers
+    where ``fits`` is False taken as too big to compile."""
+    size = {id(layer): 0 if fit else core.KERNEL_MAX_UNITS + 1 for layer, fit in zip(net.layers, fits)}
+    units = property(lambda layer: size[id(layer)])
+    with mock.patch.object(core, "KERNEL_AFTER", 1), mock.patch.object(type(net.layers[0]), "_kernel_units", units):
+        net.evaluate((0.0,) * net.input_dim)
+    return kernels(net)
+
+
+def check_chain(net, fits, x):
+    """The MLP ``net``'s kernels, compiled as ``fits`` says, at the finite input
+    ``x`` against the dense loops of the whole chain.
+
+    The kernels give None exactly where a layer's check fires on the dense
+    input it gets, a compiled layer's as in ``check_kernel`` and a loop's
+    when its outputs do not sum to a finite float, and the dense bits
+    otherwise; ``evaluate`` gives the dense bits either way.
+    """
+    v, rejected = x, False
+    for layer, fit in zip(net.layers, fits):
+        out = dense_apply(layer, v)
+        rejected = rejected or (rejects(layer, v, out) if fit else not math.isfinite(sum(out)))
+        v = out
+    y = x
+    for kernel in kernels(net):
+        if (y := kernel(*y)) is None:
+            break
+    assert (y is None) == rejected
+    if y is not None:
+        assert bits(y) == bits(v)
+    assert bits(net.evaluate(x)) == bits(v)
 
 
 _FINITE = st.one_of(
@@ -939,6 +976,93 @@ class TestCompiledKernels:
                 assert bits(net.evaluate(x)) == bits(dense_chain(net, x))
 
 
+# Entries of random MLPs: signed zeros, units, the smallest subnormal,
+# 3-decimal values, and entries past max/2, whose products, sums and
+# outputs overflow
+_CHAIN_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324, 8e307, -8e307, 1e308, -1e308, 1.5e308, -1.5e308]),
+    DECIMALS,
+)
+
+
+@st.composite
+def _chains(draw):
+    """A 1-4-layer MLP whose rows may repeat or negate an earlier row of their
+    layer and whose columns may be all zero."""
+    widths = [draw(st.integers(1, 4)) for _ in range(draw(st.integers(2, 5)))]
+    layers = []
+    for k, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        # about one column in four is all zero
+        zero_cols = {p for p in range(n_in) if draw(st.integers(0, 3)) == 0}
+        weight = []
+        for _ in range(n_out):
+            repeat = draw(st.none() | st.tuples(st.integers(0, 10**6), st.booleans()))
+            if repeat and weight:
+                row = weight[repeat[0] % len(weight)]
+                weight.append([-w for w in row] if repeat[1] else row)
+            else:
+                weight.append([draw(st.sampled_from([0.0, -0.0]) if p in zero_cols else _CHAIN_ENTRIES)
+                               for p in range(n_in)])
+        # a bias past max/2 makes a kernel test each active unit's output
+        bias = [draw(_CHAIN_ENTRIES | st.sampled_from([1e308, 1.5e308])) for _ in range(n_out)]
+        last = k == len(widths) - 2
+        layers.append(MlpLayer(weight, bias, Activation.IDENTITY if last else Activation.RELU))
+    return Mlp(tuple(layers))
+
+
+@st.composite
+def _unit_thresholds(draw):
+    """A finite bias ``b`` and a sum ``s`` anywhere, also next to ``-b``."""
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, 1.0, _HALF, math.nextafter(_HALF, INF),
+             math.nextafter(_HALF, 0.0), sys.float_info.max]
+    edges += [-v for v in edges]
+    b = draw(st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False)))
+    near = [math.nextafter(-b, -INF), -b, math.nextafter(-b, INF)]
+    s = draw(st.one_of(st.sampled_from(edges + near + [INF, -INF, NAN]), st.floats()))
+    return s, b
+
+
+class TestLinkedKernels:
+    """Between two compiled MLP layers the kernels pass the second one's
+    kept row sums: each active unit adds into them and an inactive one is
+    skipped.  The whole chain of kernels is checked against the dense loops."""
+
+    @given(
+        st.one_of(_chains(), st.builds(kan_to_mlp, decimal_kans(), st.sampled_from(list(ConversionMode)))),
+        st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_chain_matches_dense_chain(self, mlp, data):
+        # every layer compiled, or a loop layer anywhere, also on either
+        # side of a compiled one
+        n = len(mlp.layers)
+        fits = data.draw(st.one_of(st.just([True] * n), st.lists(st.booleans(), min_size=n, max_size=n).filter(any)))
+        compile_with(mlp, fits)
+        for x in data.draw(st.lists(st.tuples(*[_FINITE] * mlp.input_dim), min_size=1, max_size=4)):
+            check_chain(mlp, fits, x)
+
+    def test_a_unit_with_no_outgoing_weight_is_checked_past_half(self):
+        # unit 0's output 1e308 + 1e308 overflows; the output layer's weight
+        # on it is zero, and 0.0 * inf is NaN in the loop, so the first
+        # kernel gives None although no sum it passes on reads that unit
+        first = MlpLayer(((1.0,), (1.0,)), (1e308, -1e308), Activation.RELU)
+        out = MlpLayer(((0.0, 1.0),), (0.0,), Activation.IDENTITY)
+        mlp = Mlp((first, out))
+        first_kernel, _ = compile_with(mlp, [True, True])
+        assert first_kernel(1e308) is None
+        assert bits(first_kernel(0.5)) == bits((0.0,))
+        assert math.isnan(mlp.evaluate((1e308,))[0])
+        for x in [0.5, 1e308, -1e308, 5e307, -0.0]:
+            check_chain(mlp, [True, True], (x,))
+
+    @given(_unit_thresholds())
+    @settings(max_examples=300, deadline=None)
+    def test_a_unit_is_active_where_its_sum_passes_minus_its_bias(self, case):
+        # the kernels test s > -b where the loop tests s + b > 0.0
+        s, b = case
+        assert (s > -b) == (s + b > 0.0)
+
+
 def _square_kan(width, depth, segments, rng):
     """A width/depth/segments KAN: ``depth`` layers of ``width`` × ``width`` activations."""
     return Kan(tuple(
@@ -1036,16 +1160,35 @@ class TestTiering:
         assert bits(net.evaluate(x)) == bits(dense_chain(net, x))
 
     def test_each_compile_holds_one_layer(self):
+        # a KAN kernel takes its layer's inputs and returns its outputs; a
+        # first or post-loop MLP kernel takes the inputs, any other the kept
+        # row sums, and a last or pre-loop MLP kernel returns the outputs,
+        # any other the next layer's kept row sums
         kan = random_kan(random.Random(13), input_dim=2, output_dim=2, max_width=3, max_depth=3)
-        for net in (kan, kan_to_mlp(kan, ConversionMode.EXACT)):
+        mlp = kan_to_mlp(kan, ConversionMode.EXACT)
+        mixed = kan_to_mlp(_square_kan(2, 4, 3, random.Random(14)), ConversionMode.EXACT)
+        cases = [(kan, [True] * len(kan.layers)), (mlp, [True] * len(mlp.layers)), (mixed, [False, True, True, False, True])]
+        for net, fits in cases:
             with mock.patch.object(core, "compile", create=True, wraps=compile) as calls:
-                apply_until_compiled(net, (0.5, -0.25))
+                compile_with(net, fits)
             sources = [call.args[0] for call in calls.call_args_list]
-            assert len(sources) == len(net.layers)
-            for layer, source in zip(net.layers, sources):
+            assert len(sources) == sum(fits)
+            compiled_layers = [i for i, fit in enumerate(fits) if fit]
+            for i, source in zip(compiled_layers, sources):
+                layer, linked = net.layers[i], isinstance(net, Mlp)
+                if linked and i > 0 and fits[i - 1]:
+                    params = [f"s{j}" for j in range(len(layer.summation_rows(True)[0]))]
+                else:
+                    params = [f"x{p}" for p in range(layer.n_in)]
+                if linked and i + 1 < len(fits) and fits[i + 1]:
+                    returned = f"a{len(net.layers[i + 1].summation_rows(True)[0]) - 1}, )"
+                else:
+                    returned = f"{layer.n_out - 1}, )"
                 assert source.count("def ") == 1
-                assert source.startswith("def kernel(" + ", ".join(f"x{p}" for p in range(layer.n_in)) + "):")
-                assert source.rstrip().endswith(f"{layer.n_out - 1}, )")
+                assert source.startswith("def kernel(" + ", ".join(params) + "):")
+                assert source.rstrip().endswith(returned)
+            for x in [(0.5, -0.25), (2.0, 1.5), (-3.0, 0.0)]:
+                assert bits(net.evaluate(x)) == bits(dense_chain(net, x))
 
     def test_compiled_models_pickle_and_copy(self):
         kan = random_kan(random.Random(7), input_dim=2, output_dim=2, max_width=3, max_depth=2)
